@@ -10,13 +10,16 @@ convex: the k-th unit entering group h costs 2k-1, so a flow of k units
 costs k^2, and a min-cost maximum flow minimizes the sum of squared
 out-flows, which picks the leximin (equivalently Nash-optimal) vector.
 
-Costs are small non-negative integers, so successive shortest paths with
-Johnson potentials and an index-keyed Dijkstra stay exact and deterministic.
+Only the source arcs carry a cost, so every augmenting path costs the
+marginal 2f+1 of the group it leaves the source through.  Successive
+shortest paths then needs no shortest-path search: it augments from the
+least-loaded group that still reaches the sink, along the lexicographically
+least node-index path, which a depth-first search in ascending node order
+finds first.  Loads stay plain integers and the result is deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 
 from .core import Allocation, AllocationError, InapplicableAlgorithm, Instance
@@ -117,103 +120,85 @@ def build_flow_network(instance: Instance) -> FlowNetwork:
     return FlowNetwork(nodes=tuple(nodes), edges=tuple(edges))
 
 
-class _MinCostFlow:
-    """Successive shortest paths on unit arcs, exact integer costs."""
+def _path_to_sink(start, sink, adj, head, cap, seen):
+    """Residual arcs of the first start-sink path a depth-first search finds.
 
-    def __init__(self, node_count: int):
-        self.node_count = node_count
-        self.head = []
-        self.cap = []
-        self.cost = []
-        self.adj = [[] for _ in range(node_count)]
-
-    def add_arc(self, u: int, v: int, cap: int, cost: int) -> int:
-        idx = len(self.head)
-        self.head.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[u].append(idx)
-        self.head.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adj[v].append(idx + 1)
-        return idx
-
-    def run(self, s: int, t: int) -> None:
-        """Max flow of min cost; pushes one unit per shortest path.
-
-        Among equal-cost augmenting paths the lexicographically smallest
-        node-index sequence wins, so the flow witness is deterministic.
-        Labels are (reduced distance, simple path); extending a path keeps
-        the lexicographic order between labels of a common endpoint, so the
-        label-correcting search below converges to the lex-least optimum.
-        """
-        n = self.node_count
-        potential = [0] * n
-        while True:
-            best: list = [None] * n
-            best[s] = (0, (s,))
-            heap = [best[s]]
-            while heap:
-                label = heapq.heappop(heap)
-                d, path = label
-                u = path[-1]
-                if label > best[u]:
-                    continue
-                for idx in self.adj[u]:
-                    if self.cap[idx] <= 0:
-                        continue
-                    v = self.head[idx]
-                    if v in path:
-                        continue
-                    cand = (d + self.cost[idx] + potential[u] - potential[v],
-                            path + (v,))
-                    if best[v] is None or cand < best[v]:
-                        best[v] = cand
-                        heapq.heappush(heap, cand)
-            if best[t] is None:
-                return
-            dist_t = best[t][0]
-            for v in range(n):
-                if best[v] is not None:
-                    potential[v] += min(best[v][0], dist_t)
-            path = best[t][1]
-            for u, v in zip(path, path[1:]):
-                idx = min((i for i in self.adj[u]
-                           if self.head[i] == v and self.cap[i] > 0),
-                          key=lambda i: (self.cost[i], i))
-                self.cap[idx] -= 1
-                self.cap[idx ^ 1] += 1
-
-    def flow_on(self, idx: int) -> int:
-        return self.cap[idx ^ 1]
+    Successors are tried in ascending node index and ``seen`` is shared with
+    the caller, so the path is the lexicographically least one that avoids
+    every node already ruled out.  None when the sink is out of reach.
+    """
+    stack, arcs = [iter(adj[start])], []
+    while stack:
+        for a in stack[-1]:
+            v = head[a]
+            if cap[a] > 0 and not seen[v]:
+                seen[v] = True
+                arcs.append(a)
+                if v == sink:
+                    return arcs
+                stack.append(iter(adj[v]))
+                break
+        else:
+            stack.pop()
+            if arcs:
+                arcs.pop()
+    return None
 
 
 def balanced_max_flow(network: FlowNetwork) -> FlowNetwork:
     """Maximum flow whose source out-flow vector is leximin-maximal.
 
-    Expands every source arc of capacity c into c parallel unit arcs with
-    costs 1, 3, 5, ..., so that pushing k units into a group costs k^2,
-    then runs min-cost max-flow.  Returns a copy of the network with the
-    ``flow`` fields filled in (aggregated over the parallel arcs).
+    Each augmentation starts from the least-loaded group with spare source
+    capacity that reaches the sink without the source (ties: lowest node
+    index), along the lexicographically least node-index path.  One visited
+    set serves every group of an augmentation: nothing reachable from a
+    group that failed reaches the sink.  Only source arcs may carry a cost
+    and each group has one of them, else ValueError.  Returns a copy of the
+    network with the ``flow`` fields filled in.
     """
     index = {node: k for k, node in enumerate(network.nodes)}
-    solver = _MinCostFlow(len(network.nodes))
-    arc_groups = []
-    for e in network.edges:
+    s, t = index[network.source], index[network.sink]
+    source_edge = {}  # group node -> position of its source arc
+    forward = {}  # position of any other edge -> its forward residual arc
+    head, cap = [], []  # residual arc pairs: 2k forward, 2k+1 backward
+    adj = [[] for _ in network.nodes]
+    for pos, e in enumerate(network.edges):
         u, v = index[e.tail], index[e.head]
-        if e.tail == network.source:
-            arcs = [
-                solver.add_arc(u, v, 1, 2 * k + 1) for k in range(e.capacity)
-            ]
+        if u == s:
+            if v in source_edge:
+                raise ValueError(f"two source arcs into {_node_label(e.head)}")
+            source_edge[v] = pos
+            continue
+        if e.cost:
+            raise ValueError(f"arc {_node_label(e.tail)} -> {_node_label(e.head)} "
+                             f"costs {e.cost}; only source arcs may")
+        forward[pos] = len(head)
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += [v, u]
+        cap += [e.capacity, 0]
+    for out in adj:
+        out.sort(key=lambda a: (head[a], a))
+    load = dict.fromkeys(source_edge, 0)
+    while True:
+        seen = [False] * len(network.nodes)
+        seen[s] = True
+        spare = [g for g in load if load[g] < network.edges[source_edge[g]].capacity]
+        for g in sorted(spare, key=lambda g: (load[g], g)):
+            if not seen[g]:
+                seen[g] = True
+                arcs = [] if g == t else _path_to_sink(g, t, adj, head, cap, seen)
+                if arcs is not None:
+                    break
         else:
-            arcs = [solver.add_arc(u, v, e.capacity, e.cost)]
-        arc_groups.append(arcs)
-    solver.run(index[network.source], index[network.sink])
-    flowed = tuple(
-        replace(e, flow=sum(solver.flow_on(idx) for idx in arcs))
-        for e, arcs in zip(network.edges, arc_groups)
-    )
+            break
+        load[g] += 1
+        for a in arcs:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+    flows = {pos: load[g] for g, pos in source_edge.items()}
+    flows.update((pos, cap[a ^ 1]) for pos, a in forward.items())
+    flowed = tuple(replace(e, flow=flows[pos]) for pos, e in enumerate(network.edges))
     return FlowNetwork(nodes=network.nodes, edges=flowed, source=network.source, sink=network.sink)
 
 

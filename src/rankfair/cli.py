@@ -221,7 +221,17 @@ def _margin_witness(instance, margins) -> str:
     return ""
 
 
+def _enumeration_budget(args, default: int) -> int:
+    """The --budget of an exhaustive command; below 1 is a usage error."""
+    if args.budget is None:
+        return default
+    if args.budget < 1:
+        raise DocumentError("--budget must be at least 1, got %d" % args.budget)
+    return args.budget
+
+
 def cmd_check(args) -> int:
+    budget = _enumeration_budget(args, 2_000_000)
     instance = _instance_from(args.input)
     allocation = parse_allocation(load_path(args.allocation), instance)
     tokens = []
@@ -236,7 +246,6 @@ def cmd_check(args) -> int:
     if not tokens:
         raise DocumentError("no properties requested")
 
-    budget = args.budget if args.budget else 2_000_000
     cache: dict = {}
     rows = []
     for token in tokens:
@@ -256,10 +265,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    budget = _enumeration_budget(args, ORACLE_BUDGET)
     instance = _instance_from(args.input)
     result = oracle_optimal(instance, args.objective, convex=args.convex,
-                            complete_only=args.complete_only,
-                            budget=args.budget if args.budget else ORACLE_BUDGET)
+                            complete_only=args.complete_only, budget=budget)
     if args.format == "machine":
         payload = {
             "objective": result.objective,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Sequence
 
 Value = "int | Fraction"
 
@@ -67,14 +67,6 @@ class NonMatroidOracle(RuntimeError):
             msg += f": {detail}"
         super().__init__(msg)
         self.agent = agent
-
-
-@runtime_checkable
-class ValuationOracle(Protocol):
-    """Anything with a value(bundle) -> int | Fraction method."""
-
-    def value(self, bundle: frozenset) -> "Value":  # pragma: no cover
-        ...
 
 
 @dataclass(frozen=True)

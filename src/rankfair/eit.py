@@ -32,26 +32,11 @@ from .core import (
     marginal_gain,
     values_vector,
 )
-from .matching import max_weight_matching
+from .matching import max_cardinality_matching, max_weight_matching
 from .matroid_intersection import max_common_independent_set
 from .valuations import AssignmentValuation
 
 WITHHELD = "-"  # stands in for the withheld pool in transfer logs
-
-
-@dataclass(frozen=True)
-class EnvyRecord:
-    """One envious ordered pair.
-
-    ``gap`` is how much the envious agent prefers the other bundle;
-    ``ef1_witness`` is some item whose removal from the envied bundle kills
-    the envy, or None exactly when the pair violates EF1.
-    """
-
-    envious: str
-    envied: str
-    gap: object
-    ef1_witness: object
 
 
 @dataclass(frozen=True)
@@ -92,28 +77,6 @@ class TransferLog:
 def potential_phi(instance: Instance, allocation: Allocation):
     """Sum of squared bundle values; the termination potential for transfers."""
     return sum(v * v for v in values_vector(instance, allocation))
-
-
-def envy_records(instance: Instance, allocation: Allocation) -> list:
-    """All envious ordered pairs, agents scanned in instance order."""
-    out = []
-    for i in instance.agents:
-        vi = instance.valuation(i)
-        mine = vi.value(allocation.bundle(i))
-        for j in instance.agents:
-            if i == j:
-                continue
-            theirs_bundle = allocation.bundle(j)
-            theirs = vi.value(theirs_bundle)
-            if theirs <= mine:
-                continue
-            witness = None
-            for o in instance.sorted_items(theirs_bundle):
-                if mine >= vi.value(theirs_bundle - {o}):
-                    witness = o
-                    break
-            out.append(EnvyRecord(i, j, theirs - mine, witness))
-    return out
 
 
 def _violates_ef1(instance, allocation, i, j) -> bool:
@@ -224,22 +187,24 @@ def _require_assignment(instance: Instance, what: str):
             )
 
 
+def _member_rows(instance: Instance) -> dict:
+    """(agent, member) -> {item: weight}, agents and members in order."""
+    return {
+        (a, mb): instance.valuation(a).weights[mb]
+        for a in instance.agents
+        for mb in instance.valuation(a).members
+    }
+
+
 def _global_optimum_matching(instance: Instance):
     """Max-weight matching of all items to (agent, member) pairs.
 
     Its total weight is the maximum utilitarian welfare for assignment
     valuations, since the per-bundle matchings are independent.
     """
-    members = []
-    weight_of = {}
-    for a in instance.agents:
-        v = instance.valuation(a)
-        for mb in v.members:
-            node = (a, mb)
-            members.append(node)
-            weight_of[node] = v.weights[mb]
-    weight = lambda node, item: weight_of[node].get(item, 0)
-    return max_weight_matching(list(instance.items), members, weight)
+    rows = _member_rows(instance)
+    weight = lambda node, item: rows[node].get(item, 0)
+    return max_weight_matching(list(instance.items), list(rows), weight)
 
 
 def initial_assignment_allocation(instance: Instance) -> Allocation:
@@ -477,8 +442,16 @@ def waste(instance: Instance, allocation: Allocation) -> tuple:
 
 
 def max_utilitarian_welfare(instance: Instance):
-    """Exact optimal welfare for assignment instances (global matching)."""
+    """Exact optimal welfare for assignment instances (global matching).
+
+    With every weight 1 the optimum is the size of a maximum-cardinality
+    matching, found without the weighted matching's relaxation rounds.
+    """
     _require_assignment(instance, "welfare optimum")
+    rows = _member_rows(instance)
+    if all(w == 1 for row in rows.values() for w in row.values()):
+        return len(max_cardinality_matching(
+            instance.items, rows, lambda node, item: item in rows[node]))
     total, _ = _global_optimum_matching(instance)
     return total
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .core import BudgetExceeded
@@ -44,6 +45,7 @@ class AssignmentValuation:
     ``weights`` maps member -> {item: weight}; weights must be non-negative
     ints or Fractions, and zero weights are equivalent to absent entries.
     Member order is the order of ``members``; it drives witness tie-breaks.
+    The stored weights are read-only, since values are cached per bundle.
     """
 
     def __init__(self, members, weights: Mapping):
@@ -59,8 +61,8 @@ class AssignmentValuation:
                     raise ValueError(f"negative weight for ({member!r}, {item!r})")
                 if w > 0:
                     row[item] = _norm(w)
-            wt[member] = row
-        self.weights = wt
+            wt[member] = MappingProxyType(row)
+        self.weights = MappingProxyType(wt)
         self._cache = {}
 
     def __eq__(self, other):
@@ -102,7 +104,8 @@ class BinaryAssignmentValuation(AssignmentValuation):
         members = tuple(adjacency)
         weights = {mb: {it: 1 for it in items} for mb, items in adjacency.items()}
         super().__init__(members, weights)
-        self.adjacency = {mb: frozenset(items) for mb, items in adjacency.items()}
+        self.adjacency = MappingProxyType(
+            {mb: frozenset(items) for mb, items in adjacency.items()})
 
     def assignment_value(self, bundle) -> tuple:
         bundle = frozenset(bundle)

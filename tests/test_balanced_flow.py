@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +10,7 @@ from rankfair.balanced_flow import (balanced_max_flow, build_flow_network,
                                     network_dump)
 from rankfair.core import InapplicableAlgorithm, Instance, validate_allocation, values_vector
 from rankfair.oracle import oracle_optimal
-from rankfair.valuations import BinaryAssignmentValuation
+from rankfair.valuations import AssignmentValuation, BinaryAssignmentValuation
 
 from randgen import random_oxs_instance
 
@@ -54,6 +56,22 @@ def test_non_binary_weights_are_refused():
         build_flow_network(inst)
 
 
+def test_priced_inner_arc_is_rejected():
+    network = build_flow_network(fx.two_group_matching_instance())
+    edges = list(network.edges)
+    k = next(k for k, e in enumerate(edges) if e.tail != network.source)
+    edges[k] = replace(edges[k], cost=1)
+    with pytest.raises(ValueError, match="only source arcs"):
+        balanced_max_flow(replace(network, edges=tuple(edges)))
+
+
+def test_second_source_arc_into_a_group_is_rejected():
+    network = build_flow_network(fx.two_group_matching_instance())
+    doubled = network.edges + (network.edges[0],)
+    with pytest.raises(ValueError, match="two source arcs"):
+        balanced_max_flow(replace(network, edges=doubled))
+
+
 def test_flow_vector_equals_oracle_leximin_fuzz():
     rng = random.Random(424242)
     for _ in range(80):
@@ -87,3 +105,76 @@ def test_flow_is_deterministic():
     for _ in range(3):
         again, _ = leximin_flow_allocation(inst)
         assert again.bundles == first.bundles
+
+
+def _pinned_flow_cases():
+    rng = random.Random(20200316)
+    for _ in range(30):
+        yield random_oxs_instance(rng, n_max=5, m_max=14)
+    # more members than items
+    rng = random.Random(7)
+    for _ in range(4):
+        yield random_oxs_instance(rng, n_max=3, m_max=2, max_members=5)
+    yield Instance(agents=("g1", "g2"), items=("o1", "o2"), valuations={
+        "g1": BinaryAssignmentValuation({"a": {"o1", "o2"}, "b": {"o1"}, "c": {"o2"}}),
+        "g2": BinaryAssignmentValuation({"d": {"o1"}, "e": {"o1", "o2"}})})
+    # empty adjacency, for a binary and for a unit-weight assignment valuation
+    yield Instance(agents=("g1", "g2"), items=("o1", "o2", "o3"), valuations={
+        "g1": BinaryAssignmentValuation({"m1": set(), "m2": set()}),
+        "g2": BinaryAssignmentValuation({"m": {"o2"}})})
+    yield Instance(agents=("g1", "g2"), items=("o1", "o2", "o3"), valuations={
+        "g1": AssignmentValuation(("a", "b"), {"a": {"o1": 1, "o3": 1}, "b": {"o1": 1}}),
+        "g2": AssignmentValuation(("c",), {})})
+
+
+# (first 16 hex digits of the SHA-256 of network_dump, bundles in agent order)
+_PINNED_FLOWS = [
+    ("63baabe56c75d2ee", "g1:o2 o3 o4 o9|g2:o1 o5"),
+    ("be5678af40d800eb", "g1:o1|g2:|g3:|g4:"),
+    ("8abda5c49d653d62", "g1:o4|g2:o1|g3:o2 o3 o5"),
+    ("31b24b140ac8417c", "g1:o1|g2:o2"),
+    ("cd74c30c39a91edd", "g1:o5|g2:o6 o7|g3:o4|g4:o1 o3|g5:o2"),
+    ("ce66d3f6384c0568", "g1:o1 o3"),
+    ("6831009c31b1aa3b", "g1:o1 o3 o4|g2:o6|g3:o2|g4:o5"),
+    ("371d54f71e05a431", "g1:o4 o7|g2:o2 o5|g3:o1 o6|g4:o3"),
+    ("9090b2271b76fc92", "g1:o2|g2:o3|g3:o1|g4:|g5:"),
+    ("e464e6413b37c091", "g1:o1|g2:|g3:|g4:"),
+    ("83dad8a1b318520a", "g1:o3 o4 o9|g2:o2|g3:o5 o6|g4:o1 o7 o8"),
+    ("0cb52d1906ecd4b6", "g1:o1 o2 o4 o5|g2:o3"),
+    ("179d8b24dec6a55f", "g1:o5 o8 o12|g2:o2 o3 o7 o10|g3:o4 o11 o13|g4:o1 o6 o9"),
+    ("a2a89676827789e1", "g1:o1 o10|g2:o2 o5 o9|g3:o3 o4 o7|g4:o8|g5:o6"),
+    ("5d31cc8b34795857", "g1:o2|g2:o3|g3:o1"),
+    ("8f302402a9934773", "g1:o10 o12 o13|g2:o1 o7 o11|g3:o2|g4:o3 o4 o6|g5:o5 o8 o9"),
+    ("bdca9b94577d6e55", "g1:o1 o5|g2:o3 o4|g3:o2"),
+    ("1a4aff91893f408c", "g1:o1 o4|g2:o2 o3 o8|g3:o5 o7|g4:o6"),
+    ("5c99777935e26083", "g1:o1 o2|g2:o4|g3:o3"),
+    ("c0e7173c5504dfcb", "g1:o4|g2:o1 o2"),
+    ("9ad7f7f4c3124e11", "g1:o2 o4 o6|g2:o1 o3 o5"),
+    ("fba64a5d97f8b99e", "g1:o1 o2"),
+    ("ca64cd969499ed78", "g1:o5 o6 o8|g2:o1 o7|g3:o2 o3 o4"),
+    ("a1db5d78b206a9a6", "g1:o2 o7|g2:o3 o6 o8|g3:o1 o4 o5"),
+    ("c266d429ed243c9e", "g1:o4 o5 o6|g2:o2 o3 o9 o11|g3:o1 o7 o8 o10|g4:o13"),
+    ("d73eeebbadb74c05", "g1:o1 o7"),
+    ("82070418631be0f4", "g1:o2|g2:o4|g3:o1"),
+    ("8ab1de5ea1d22a96", "g1:o1 o2 o3|g2:o4"),
+    ("3be1fed10795816b", "g1:o4 o6 o8|g2:o1 o3 o5 o11"),
+    ("f1ac5718695a061f", "g1:o2 o8|g2:o5 o6|g3:o10|g4:o1 o3 o4"),
+    ("cf61056b523d34d2", "g1:o1|g2:"),
+    ("c568511aa107eff2", "g1:o1"),
+    ("3041c133e0af8e1f", "g1:"),
+    ("b2b976c54c62aeaa", "g1:"),
+    ("bcf33b41f2eed1ef", "g1:o2|g2:o1"),
+    ("9ab3d62567492e5e", "g1:|g2:o2"),
+    ("91cb2c181a72953b", "g1:o1 o3|g2:"),
+]
+
+
+def test_flow_witness_is_pinned():
+    cases = list(_pinned_flow_cases())
+    assert len(cases) == len(_PINNED_FLOWS)
+    for inst, (dump_sha, bundles) in zip(cases, _PINNED_FLOWS):
+        alloc, network = leximin_flow_allocation(inst)
+        got = "|".join("%s:%s" % (a, " ".join(inst.sorted_items(alloc.bundle(a))))
+                       for a in inst.agents)
+        assert got == bundles
+        assert hashlib.sha256(network_dump(network).encode()).hexdigest()[:16] == dump_sha

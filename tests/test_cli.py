@@ -174,6 +174,19 @@ def test_oracle_budget_refusal(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_check_and_oracle_reject_budget_below_one(fig_pair, capsys, budget):
+    doc, alloc = fig_pair
+    code = main(["check", "--input", doc, "--allocation", alloc,
+                 "--properties", "po", "--budget", budget])
+    assert code == 1
+    assert "--budget must be at least 1" in capsys.readouterr().err
+    code = main(["oracle", "--input", doc, "--objective", "usw",
+                 "--budget", budget])
+    assert code == 1
+    assert "--budget must be at least 1" in capsys.readouterr().err
+
+
 def test_validate_accepts_and_rejects(tmp_path, capsys):
     good = _write_instance(tmp_path, fixtures.two_group_matching_instance())
     assert main(["validate", "--input", good]) == 0

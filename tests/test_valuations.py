@@ -55,6 +55,21 @@ def test_assignment_valuation_rejects_bad_input():
         AssignmentValuation(("m",), {"m": {"x": -1}})
 
 
+def test_assignment_weights_are_read_only():
+    v = AssignmentValuation(("m",), {"m": {"o1": 1}})
+    assert v.value({"o1"}) == 1
+    with pytest.raises(TypeError):
+        v.weights["m"]["o1"] = 0
+    with pytest.raises(TypeError):
+        v.weights["m2"] = {"o1": 1}
+    assert v.weights == {"m": {"o1": 1}}
+    b = BinaryAssignmentValuation({"m": {"o1"}})
+    assert b.value({"o1"}) == 1
+    with pytest.raises(TypeError):
+        b.adjacency["m"] = frozenset()
+    assert b == BinaryAssignmentValuation({"m": {"o1"}})
+
+
 def test_assignment_value_matches_brute_force_fuzz():
     rng = random.Random(777)
     for _ in range(120):
