@@ -7,11 +7,19 @@ exactly when every agent's incident items form a clean bundle for them
 clean allocation of maximum utilitarian welfare, and is found here by
 repeated shortest augmenting paths in the exchange graph.
 
+Both circuits of an outside pair (a, o) are read off the structure of the
+current set X.  Partition side: if some agent h holds o, the circuit is
+{(a, o), (h, o)}; otherwise there is none.  Union side: the matroid is the
+direct sum of one clean-bundle matroid per agent, so only a's own bundle A
+takes part.  There is no circuit when v_a(A + o) = |A| + 1; otherwise the
+circuit is (a, o) together with {(a, x) : x in A, v_a(A - x + o) = |A|}.
+That answer depends on (a, A) alone and is kept for the whole run.
+
 Only use this on instances whose valuations are matroid rank functions
-(binary-marginal, monotone, submodular); anything else either fails an
-independence query mid-run (raising NonMatroidOracle with the offending
-agent) or silently computes nonsense, which is why the CLI gates access
-behind declared families or an explicit verification pass.
+(binary-marginal, monotone, submodular); anything else either leaves an
+unclean bundle after an augmentation (raising NonMatroidOracle with the
+offending agent) or silently computes nonsense, which is why the CLI gates
+access behind declared families or an explicit verification pass.
 """
 
 from __future__ import annotations
@@ -21,93 +29,17 @@ from dataclasses import dataclass, field
 from .core import Allocation, Instance, NonMatroidOracle
 
 
-@dataclass(frozen=True, order=True)
-class GroundElement:
-    """One (agent, item) pair of the intersection ground set."""
-
-    agent: str
-    item: str
-
-
-class PartitionOracle:
-    """Independent iff no item appears with two different agents."""
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-
-    def independent(self, elements) -> bool:
-        seen = set()
-        for e in elements:
-            if e.item in seen:
-                return False
-            seen.add(e.item)
-        return True
-
-
-class UnionOracle:
-    """Independent iff every agent's incident item set is a clean bundle.
-
-    With matroid rank valuations that reads: v_a(items of a) == their count.
-    """
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-
-    def independent(self, elements) -> bool:
-        per_agent = {}
-        for e in elements:
-            per_agent.setdefault(e.agent, set()).add(e.item)
-        for agent, items in per_agent.items():
-            if self.instance.value(agent, items) != len(items):
-                return False
-        return True
-
-    def offending_agent(self, elements):
-        per_agent = {}
-        for e in elements:
-            per_agent.setdefault(e.agent, set()).add(e.item)
-        for agent in self.instance.agents:
-            items = per_agent.get(agent, set())
-            if self.instance.value(agent, items) != len(items):
-                return agent
-        return None
-
-
-def find_circuit(oracle, independent_set, element: GroundElement):
-    """Unique circuit of ``independent_set + element``, or None.
-
-    Requires ``independent_set`` to be independent in ``oracle`` (ValueError
-    otherwise).  If the augmented set is still independent there is no
-    circuit.  Otherwise the circuit is the element together with every x in
-    the set whose removal restores independence; for matroids that set is
-    the unique minimal dependent subset.
-    """
-    X = frozenset(independent_set)
-    if not oracle.independent(X):
-        raise ValueError("find_circuit requires an independent base set")
-    if element in X:
-        raise ValueError("element already belongs to the set")
-    augmented = X | {element}
-    if oracle.independent(augmented):
-        return None
-    circuit = {element}
-    for x in sorted(X):
-        if oracle.independent(augmented - {x}):
-            circuit.add(x)
-    return frozenset(circuit)
-
-
 @dataclass(frozen=True)
 class ExchangeGraph:
     """Exchange graph of a common independent set X.
 
-    ``sources``: elements outside X addable on the partition side (item
-    unused).  ``sinks``: elements outside X addable on the union side (the
-    agent absorbs the item cleanly).  ``arcs`` maps each vertex to its
-    successor list: from y outside X to the members of its union-side
-    circuit, and from x inside X to the outside elements whose
-    partition-side circuit contains x.  Augmenting along a shortest
-    source-to-sink path keeps X common independent.
+    Vertices are ``(agent, item)`` tuples.  ``sources``: pairs outside X
+    addable on the partition side (item unused).  ``sinks``: pairs outside
+    X addable on the union side (the agent absorbs the item cleanly).
+    ``arcs`` maps each vertex to its sorted successor list: from y outside
+    X to the members of its union-side circuit, and from x inside X to the
+    outside pairs whose partition-side circuit contains x.  Augmenting
+    along a shortest source-to-sink path keeps X common independent.
     """
 
     vertices: tuple
@@ -116,34 +48,64 @@ class ExchangeGraph:
     arcs: dict = field(hash=False)
 
 
-def build_exchange_graph(instance: Instance, X) -> ExchangeGraph:
-    X = frozenset(X)
-    partition = PartitionOracle(instance)
-    union = UnionOracle(instance)
-    ground = [
-        GroundElement(a, o) for a in instance.agents for o in instance.items
-    ]
-    outside = [e for e in ground if e not in X]
+def _bundles(instance: Instance, X) -> dict:
+    bundles = {a: set() for a in instance.agents}
+    for a, o in X:
+        bundles[a].add(o)
+    return bundles
+
+
+def _union_side(instance: Instance, agent: str, bundle: frozenset):
+    """Union-side sinks and circuits of ``agent``'s pairs outside ``bundle``.
+
+    Returns (sink items, {item: sorted circuit items inside ``bundle``}).
+    """
+    value = instance.valuation(agent).value
+    size = len(bundle)
+    sinks = []
+    circuits = {}
+    for o in instance.items:
+        if o in bundle:
+            continue
+        if value(bundle | {o}) == size + 1:
+            sinks.append(o)
+        else:
+            circuits[o] = [x for x in sorted(bundle)
+                           if value((bundle - {x}) | {o}) == size]
+    return sinks, circuits
+
+
+def build_exchange_graph(instance: Instance, X, union_sides: dict) -> ExchangeGraph:
+    """Exchange graph of the common independent set X.
+
+    ``union_sides`` maps (agent, bundle) to that agent's union side; the
+    caller passes one dict per run so unchanged bundles are not re-valued.
+    """
+    holder = {o: a for a, o in X}
+    bundles = _bundles(instance, X)
+    vertices = tuple((a, o) for a in instance.agents for o in instance.items)
+    arcs = {v: [] for v in vertices}
     sources = []
     sinks = []
-    arcs = {e: [] for e in ground}
-    for y in outside:
-        c_union = find_circuit(union, X, y)
-        c_part = find_circuit(partition, X, y)
-        if c_part is None:
-            sources.append(y)
-        if c_union is None:
-            sinks.append(y)
-        if c_union is not None:
-            for x in sorted(c_union - {y}):
-                arcs[y].append(x)
-        if c_part is not None:
-            for x in sorted(c_part - {y}):
-                arcs[x].append(y)
-    for e in arcs:
-        arcs[e].sort()
+    for a in instance.agents:
+        key = (a, frozenset(bundles[a]))
+        if key not in union_sides:
+            union_sides[key] = _union_side(instance, *key)
+        sink_items, circuits = union_sides[key]
+        sinks.extend((a, o) for o in sink_items)
+        for o in instance.items:
+            if o in bundles[a]:
+                continue
+            if o in circuits:
+                arcs[(a, o)] = [(a, x) for x in circuits[o]]
+            if o in holder:
+                arcs[(holder[o], o)].append((a, o))
+            else:
+                sources.append((a, o))
+    for x in X:
+        arcs[x].sort()
     return ExchangeGraph(
-        vertices=tuple(ground),
+        vertices=vertices,
         sources=tuple(sorted(sources)),
         sinks=tuple(sorted(sinks)),
         arcs=arcs,
@@ -196,25 +158,23 @@ def max_common_independent_set(instance: Instance) -> Allocation:
     valuation is not actually a matroid rank function and is reported as
     NonMatroidOracle naming that agent.
     """
-    partition = PartitionOracle(instance)
-    union = UnionOracle(instance)
+    union_sides = {}
     X = frozenset()
     while True:
-        graph = build_exchange_graph(instance, X)
+        graph = build_exchange_graph(instance, X, union_sides)
         path = _shortest_augmenting_path(graph)
         if path is None:
             break
         X = X ^ frozenset(path)
-        if not partition.independent(X):
+        if len({o for _, o in X}) != len(X):
             raise NonMatroidOracle(
-                path[-1].agent, "augmentation produced a duplicated item"
+                path[-1][0], "augmentation produced a duplicated item"
             )
-        if not union.independent(X):
-            agent = union.offending_agent(X)
+        bundles = _bundles(instance, X)
+        unclean = next((a for a in instance.agents
+                        if instance.value(a, bundles[a]) != len(bundles[a])), None)
+        if unclean is not None:
             raise NonMatroidOracle(
-                agent, "augmentation produced an unclean bundle"
+                unclean, "augmentation produced an unclean bundle"
             )
-    bundles = {a: set() for a in instance.agents}
-    for e in X:
-        bundles[e.agent].add(e.item)
-    return Allocation.from_bundles(instance, bundles)
+    return Allocation.from_bundles(instance, _bundles(instance, X))
