@@ -21,16 +21,16 @@ from .balanced_flow import leximin_flow_allocation, network_dump
 from .bench import (LEGACY_DELIMITER, LEGACY_RATINGS_COLUMNS, LEGACY_USERS_COLUMNS,
                     build_corpus, load_ratings, load_users, render_machine,
                     render_text, run_bench)
-from .core import (Allocation, AllocationError, BudgetExceeded,
+from .core import (ENUMERATION_BUDGET, Allocation, AllocationError, BudgetExceeded,
                    InapplicableAlgorithm, Instance, NonMatroidOracle,
-                   TransferabilityViolated, format_exact, is_clean)
+                   TransferabilityViolated, first_zero_marginal, format_exact)
 from .documents import (DocumentError, dump_path, dumps, load_path,
                         parse_allocation, parse_instance, serialize_allocation)
 from .eit import (eit_ef1, eit_general, envy_graph_baseline, price_of_fairness,
                   waste)
 from .fairness import (check_mms, check_po_bruteforce, check_proportional,
                        check_wprop1, envy_report, min_eqc)
-from .oracle import ORACLE_BUDGET, oracle_optimal
+from .oracle import oracle_optimal
 from .valuations import EXHAUSTIVE_LIMIT, spot_check_matroid_rank, verify_matroid_rank
 
 EXIT_OK = 0
@@ -199,14 +199,10 @@ def _evaluate_property(token, instance, allocation, cache, budget):
         bound = int(token[2:])
         return c <= bound, "min c = %d" % c
     if token == "clean":
-        if is_clean(instance, allocation):
+        hit = first_zero_marginal(instance, allocation)
+        if hit is None:
             return True, ""
-        for agent in instance.agents:
-            bundle = allocation.bundle(agent)
-            for item in instance.sorted_items(bundle):
-                if instance.value(agent, bundle) == instance.value(agent, bundle - {item}):
-                    return False, "agent %s holds zero-marginal item %s" % (agent, item)
-        return False, ""
+        return False, "agent %s holds zero-marginal item %s" % hit
     if token == "complete":
         if not allocation.withheld:
             return True, ""
@@ -221,17 +217,17 @@ def _margin_witness(instance, margins) -> str:
     return ""
 
 
-def _enumeration_budget(args, default: int) -> int:
+def _enumeration_budget(args) -> int:
     """The --budget of an exhaustive command; below 1 is a usage error."""
     if args.budget is None:
-        return default
+        return ENUMERATION_BUDGET
     if args.budget < 1:
         raise DocumentError("--budget must be at least 1, got %d" % args.budget)
     return args.budget
 
 
 def cmd_check(args) -> int:
-    budget = _enumeration_budget(args, 2_000_000)
+    budget = _enumeration_budget(args)
     instance = _instance_from(args.input)
     allocation = parse_allocation(load_path(args.allocation), instance)
     tokens = []
@@ -265,7 +261,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    budget = _enumeration_budget(args, ORACLE_BUDGET)
+    budget = _enumeration_budget(args)
     instance = _instance_from(args.input)
     result = oracle_optimal(instance, args.objective, convex=args.convex,
                             complete_only=args.complete_only, budget=budget)
@@ -301,7 +297,7 @@ _WITNESS_KEY_ORDER = ("subset", "item", "context_item", "value", "size",
 
 def cmd_validate(args) -> int:
     instance = _instance_from(args.input)
-    items = frozenset(instance.items)
+    items = instance.items
     rows = []
     failed = False
     for agent in instance.agents:
@@ -416,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("usw", "egalitarian", "leximin", "mnw",
                                  "min_convex", "max_concave"))
     oracle.add_argument("--convex", default="sum_squares",
-                        choices=("sum_squares", "sum_fourth", "zlogz"))
+                        choices=("sum_squares", "sum_fourth", "zlogz"),
+                        help="gauge of min_convex; no other objective reads it")
     oracle.add_argument("--complete-only", action="store_true")
     common(oracle)
     oracle.set_defaults(func=cmd_oracle)

@@ -19,6 +19,10 @@ from typing import Iterable, Mapping, Sequence
 
 Value = "int | Fraction"
 
+# Default cap on the cases an exhaustive computation may enumerate
+# (placements, partitions or subsets) before it refuses to start.
+ENUMERATION_BUDGET = 2_000_000
+
 
 class AllocationError(ValueError):
     """An allocation breaks the structural rules of its instance."""
@@ -260,6 +264,16 @@ def leximin_compare(left, right) -> int:
     return 0
 
 
+def _zero_marginal_item(instance: Instance, agent: str, bundle: frozenset):
+    """The lowest-index item of the bundle whose removal costs the agent nothing."""
+    v = instance.valuation(agent)
+    base = v.value(bundle)
+    for item in instance.sorted_items(bundle):
+        if v.value(bundle - {item}) == base:
+            return item
+    return None
+
+
 def clean(instance: Instance, allocation: Allocation) -> Allocation:
     """Strip zero-marginal items from every bundle into the withheld pool.
 
@@ -268,22 +282,28 @@ def clean(instance: Instance, allocation: Allocation) -> Allocation:
     removed first, and the bundle is rescanned after every removal.  Bundle
     values are preserved exactly, so welfare is unchanged.
     """
-    bundles = {a: set(allocation.bundle(a)) for a in instance.agents}
+    bundles = {a: allocation.bundle(a) for a in instance.agents}
     withheld = set(allocation.withheld)
     for agent in instance.agents:
-        v = instance.valuation(agent)
-        bundle = bundles[agent]
-        changed = True
-        while changed:
-            changed = False
-            base = v.value(frozenset(bundle))
-            for item in instance.sorted_items(bundle):
-                if v.value(frozenset(bundle - {item})) == base:
-                    bundle.remove(item)
-                    withheld.add(item)
-                    changed = True
-                    break
-    return Allocation({a: frozenset(b) for a, b in bundles.items()}, frozenset(withheld))
+        item = _zero_marginal_item(instance, agent, bundles[agent])
+        while item is not None:
+            bundles[agent] -= {item}
+            withheld.add(item)
+            item = _zero_marginal_item(instance, agent, bundles[agent])
+    return Allocation(bundles, frozenset(withheld))
+
+
+def first_zero_marginal(instance: Instance, allocation: Allocation):
+    """The first (agent, item) whose removal leaves the agent's value unchanged.
+
+    Agents and items are scanned in index order; None means no bundle holds
+    such an item.
+    """
+    for agent in instance.agents:
+        item = _zero_marginal_item(instance, agent, allocation.bundle(agent))
+        if item is not None:
+            return agent, item
+    return None
 
 
 def is_clean(instance: Instance, allocation: Allocation) -> bool:
@@ -292,14 +312,7 @@ def is_clean(instance: Instance, allocation: Allocation) -> bool:
     For valuations with binary marginal gains this is equivalent to every
     bundle being worth exactly its size.
     """
-    for agent in instance.agents:
-        v = instance.valuation(agent)
-        bundle = allocation.bundle(agent)
-        base = v.value(bundle)
-        for item in bundle:
-            if v.value(bundle - {item}) == base:
-                return False
-    return True
+    return first_zero_marginal(instance, allocation) is None
 
 
 def is_complete(instance: Instance, allocation: Allocation) -> bool:

@@ -32,6 +32,7 @@ from .core import (
     marginal_gain,
     values_vector,
 )
+from .fairness import ef1_pair
 from .matching import max_cardinality_matching, max_weight_matching
 from .matroid_intersection import max_common_independent_set
 from .valuations import AssignmentValuation
@@ -79,19 +80,10 @@ def potential_phi(instance: Instance, allocation: Allocation):
     return sum(v * v for v in values_vector(instance, allocation))
 
 
-def _violates_ef1(instance, allocation, i, j) -> bool:
-    vi = instance.valuation(i)
-    mine = vi.value(allocation.bundle(i))
-    theirs_bundle = allocation.bundle(j)
-    if mine >= vi.value(theirs_bundle):
-        return False
-    return all(mine < vi.value(theirs_bundle - {o}) for o in theirs_bundle)
-
-
 def _first_ef1_violation(instance, allocation):
     for i in instance.agents:
         for j in instance.agents:
-            if i != j and _violates_ef1(instance, allocation, i, j):
+            if i != j and not ef1_pair(instance, allocation, i, j)[0]:
                 return i, j
     return None
 
@@ -298,7 +290,7 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
             mine = allocation.bundle(i)
             base = vi.value(mine)
             for j in instance.agents:
-                if i == j or not _violates_ef1(instance, allocation, i, j):
+                if i == j or ef1_pair(instance, allocation, i, j)[0]:
                     continue
                 vj = instance.valuation(j)
                 theirs = allocation.bundle(j)

@@ -5,19 +5,20 @@ agent pair and collected into a report.  Global criteria (proportionality,
 WPROP1, equitability up to c items, maximin share, brute-force Pareto
 optimality) are computed by dedicated functions; the exhaustive ones refuse
 to run past an explicit enumeration budget instead of silently degrading.
+Pareto optimality and the maximin share walk the enumeration oracle's
+placement scan over bitmask value tables (``oracle._scan``).
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
-from .core import Allocation, BudgetExceeded, Instance
-
-SUBSET_BUDGET = 2_000_000
-PARTITION_BUDGET = 2_000_000
-ENUMERATION_BUDGET = 2_000_000
+from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance
+from .oracle import _dominates, _pattern_to_allocation, _scan, _tables
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,23 @@ class FairnessReport:
                 if not getattr(check, flag)]
 
 
+def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tuple:
+    """(ok, item): whether agent i is envy-free of j up to one item.
+
+    i passes when it does not envy j (item None), or when removing some item
+    of A_j ends the envy; item is then the first such item in index order.
+    """
+    valuation = instance.valuation(i)
+    own = valuation.value(allocation.bundle(i))
+    theirs = allocation.bundle(j)
+    if own >= valuation.value(theirs):
+        return True, None
+    for o in instance.sorted_items(theirs):
+        if own >= valuation.value(theirs - {o}):
+            return True, o
+    return False, None
+
+
 def _pair_check(instance: Instance, allocation: Allocation, i: str, j: str) -> PairCheck:
     own_bundle = allocation.bundle(i)
     other_bundle = allocation.bundle(j)
@@ -105,13 +123,7 @@ def _pair_check(instance: Instance, allocation: Allocation, i: str, j: str) -> P
 
     ordered = instance.sorted_items(other_bundle)
     reduced = {o: instance.value(i, other_bundle - {o}) for o in ordered}
-
-    ef1_witness = None
-    for o in ordered:
-        if own >= reduced[o]:
-            ef1_witness = o
-            break
-    ef1 = (not ordered) or ef1_witness is not None
+    ef1, ef1_witness = ef1_pair(instance, allocation, i, j)
 
     efx0_violator = None
     for o in ordered:
@@ -142,7 +154,7 @@ def _pair_check(instance: Instance, allocation: Allocation, i: str, j: str) -> P
     return PairCheck(
         envious=envious, gap=gap, ef=not envious, ef1=ef1, efx0=efx0,
         efx_plus=efx_plus, efx_plus_guarded=efx_plus_guarded, mef1=mef1,
-        ef1_witness=ef1_witness if envious else None,
+        ef1_witness=ef1_witness,
         efx0_violator=efx0_violator,
         mef1_witness=mef1_witness,
     )
@@ -211,7 +223,8 @@ def _eqc_holds(instance: Instance, allocation: Allocation, c: int) -> bool:
     return True
 
 
-def min_eqc(instance: Instance, allocation: Allocation, budget: int = SUBSET_BUDGET) -> int:
+def min_eqc(instance: Instance, allocation: Allocation,
+            budget: int = ENUMERATION_BUDGET) -> int:
     """Smallest c such that the allocation is equitable up to c items.
 
     EQc requires, for every ordered pair (i, j) with |A_j| > c, some subset
@@ -234,30 +247,21 @@ def min_eqc(instance: Instance, allocation: Allocation, budget: int = SUBSET_BUD
     raise AssertionError("equitability scan failed to terminate")
 
 
-def mms_share(instance: Instance, agent: str, budget: int = PARTITION_BUDGET):
+def mms_share(instance: Instance, agent: str, budget: int = ENUMERATION_BUDGET):
     """Maximin share: best over complete n-partitions of the worst part.
 
     Parts may be empty, so the share is 0 whenever there are fewer items
-    than agents.  Enumerates all n^m placements; refuses over budget.
+    than agents.  Scans all n^m complete placements over one value table,
+    the agent's own, read for every part; refuses over budget.
     """
-    n = instance.n
-    items = instance.sorted_items(frozenset(instance.items))
-    total = n ** len(items)
-    if total > budget:
-        raise BudgetExceeded("maximin-share partition enumeration", total, budget)
-    best = None
-    for pattern in product(range(n), repeat=len(items)):
-        parts = [[] for _ in range(n)]
-        for item, slot in zip(items, pattern):
-            parts[slot].append(item)
-        worst = min(instance.value(agent, frozenset(part)) for part in parts)
-        if best is None or worst > best:
-            best = worst
-    return best
+    items, tables = _tables(instance, True, budget, [instance.valuation(agent)],
+                            "maximin-share partition enumeration")
+    scan = _scan(instance, items, tables * instance.n, True)
+    return max((min(parts) for _, _, parts in scan), default=None)
 
 
 def check_mms(instance: Instance, allocation: Allocation,
-              budget: int = PARTITION_BUDGET) -> Mapping[str, MmsEntry]:
+              budget: int = ENUMERATION_BUDGET) -> Mapping[str, MmsEntry]:
     """Per-agent maximin-share satisfaction with the realized alpha ratio."""
     entries = {}
     for i in instance.agents:
@@ -280,40 +284,17 @@ def check_po_bruteforce(instance: Instance, allocation: Allocation,
     order (items in index order, each placed with agent 1, agent 2, ...,
     withheld last).
     """
-    n = instance.n
-    items = instance.sorted_items(frozenset(instance.items))
-    total = (n + 1) ** len(items)
-    if total > budget:
-        raise BudgetExceeded("allocation enumeration", total, budget)
-    current = [instance.value(i, allocation.bundle(i)) for i in instance.agents]
-    for pattern in product(range(n + 1), repeat=len(items)):
-        bundles = [[] for _ in range(n)]
-        for item, slot in zip(items, pattern):
-            if slot < n:
-                bundles[slot].append(item)
-        better = False
-        dominated = True
-        for k, agent in enumerate(instance.agents):
-            value = instance.value(agent, frozenset(bundles[k]))
-            if value > current[k]:
-                better = True
-            elif value < current[k]:
-                dominated = False
-                break
-        if dominated and better:
-            witness = Allocation.from_bundles(
-                instance,
-                {agent: frozenset(bundles[k]) for k, agent in enumerate(instance.agents)},
-            )
-            return False, witness
+    items, tables = _tables(instance, False, budget)
+    current = tuple(instance.value(i, allocation.bundle(i)) for i in instance.agents)
+    for pattern, _, vector in _scan(instance, items, tables, False):
+        if _dominates(vector, current):
+            return False, _pattern_to_allocation(instance, items, pattern)
     return True, None
 
 
 def full_report(instance: Instance, allocation: Allocation,
                 include_po: bool = False,
-                subset_budget: int = SUBSET_BUDGET,
-                partition_budget: int = PARTITION_BUDGET,
-                enumeration_budget: int = ENUMERATION_BUDGET) -> FairnessReport:
+                budget: int = ENUMERATION_BUDGET) -> FairnessReport:
     """Envy report augmented with every global criterion.
 
     The exhaustive sections raise BudgetExceeded rather than being skipped,
@@ -326,11 +307,10 @@ def full_report(instance: Instance, allocation: Allocation,
         report,
         proportional=prop_ok, proportional_margins=prop_margins,
         wprop1=wprop_ok, wprop1_margins=wprop_margins,
-        min_eqc=min_eqc(instance, allocation, budget=subset_budget),
-        mms=check_mms(instance, allocation, budget=partition_budget),
+        min_eqc=min_eqc(instance, allocation, budget=budget),
+        mms=check_mms(instance, allocation, budget=budget),
     )
     if include_po:
-        po_ok, po_witness = check_po_bruteforce(
-            instance, allocation, budget=enumeration_budget)
+        po_ok, po_witness = check_po_bruteforce(instance, allocation, budget=budget)
         report = replace(report, po=po_ok, po_witness=po_witness)
     return report

@@ -7,6 +7,11 @@ matroid-rank valuations.  Every scan refuses to start once the number of
 placements exceeds an explicit budget: this module is a measuring
 instrument for tests, not a solver.
 
+``_scan`` over the bitmask value tables of ``_tables`` is the package's
+one placement walk: the brute-force Pareto and maximin-share checkers of
+``fairness`` run on it too.  The ``convex`` gauge argument is read by the
+min_convex objective only.
+
 The verification routines run on any instance; their pass guarantees are
 only promised for matroid-rank valuations, and running them on other
 valuation classes is how the expected failures are demonstrated.
@@ -16,9 +21,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
-from .core import Allocation, BudgetExceeded, Instance
+from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance
+from .valuations import subset_tables
 
-ORACLE_BUDGET = 2_000_000
 WITNESS_CAP = 64
 
 OBJECTIVES = ("usw", "egalitarian", "leximin", "mnw", "min_convex", "max_concave")
@@ -103,30 +108,26 @@ class EquivalenceReport:
         raise KeyError(name)
 
 
-def _tables(instance: Instance):
-    """Per-agent value table indexed by item-subset bitmask.
+def _tables(instance: Instance, complete_only: bool, budget: int, valuations=None,
+            what: str = "allocation enumeration"):
+    """(items, tables): a value table per valuation, the agents' by default.
 
-    Bit p of a mask corresponds to the p-th item in index order.
+    Refuses with BudgetExceeded(what, ...) when the scan would exceed budget
+    placements.  Bit p of a mask stands for the p-th item in index order.
+    With a single placement (one agent, no withholding) a table holds only
+    the full mask; otherwise 2^m <= base^m <= budget and it covers every subset.
     """
-    items = instance.sorted_items(frozenset(instance.items))
-    m = len(items)
-    subsets = [frozenset()] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        subsets[mask] = subsets[mask ^ low] | {items[low.bit_length() - 1]}
-    tables = []
-    for agent in instance.agents:
-        valuation = instance.valuation(agent)
-        tables.append([valuation.value(subsets[mask]) for mask in range(1 << m)])
-    return items, subsets, tables
-
-
-def _check_budget(instance: Instance, complete_only: bool, budget: int) -> int:
+    items = instance.items
     base = instance.n if complete_only else instance.n + 1
-    total = base ** instance.m
-    if total > budget:
-        raise BudgetExceeded("allocation enumeration", total, budget)
-    return total
+    if base ** len(items) > budget:
+        raise BudgetExceeded(what, base ** len(items), budget)
+    if valuations is None:
+        valuations = [instance.valuation(agent) for agent in instance.agents]
+    if base < 2:
+        full = (1 << len(items)) - 1
+        return items, [{full: valuation.value(frozenset(items))}
+                       for valuation in valuations]
+    return items, subset_tables(valuations, items)[1]
 
 
 def _scan(instance, items, tables, complete_only):
@@ -156,12 +157,15 @@ def _pattern_to_allocation(instance: Instance, items, pattern) -> Allocation:
 
 
 def enumerate_allocations(instance: Instance, complete_only: bool = False,
-                          budget: int = ORACLE_BUDGET):
+                          budget: int = ENUMERATION_BUDGET):
     """Stream every allocation (including withholding) in lexicographic order."""
-    _check_budget(instance, complete_only, budget)
-    items, _, tables = _tables(instance)
+    items, tables = _tables(instance, complete_only, budget)
     for pattern, _, _ in _scan(instance, items, tables, complete_only):
         yield _pattern_to_allocation(instance, items, pattern)
+
+
+def _gauge(convex) -> Callable:
+    return CONVEX_BUILTINS[convex] if isinstance(convex, str) else convex
 
 
 def _objective_key(objective: str, convex):
@@ -174,44 +178,36 @@ def _objective_key(objective: str, convex):
     if objective == "mnw":
         return nash_key
     if objective == "min_convex":
-        phi = CONVEX_BUILTINS[convex] if isinstance(convex, str) else convex
+        phi = _gauge(convex)
         return lambda vector: (sum(vector), -phi(vector))
     if objective == "max_concave":
-        psi = CONVEX_BUILTINS[convex] if isinstance(convex, str) else convex
-        if psi is iterated_power or convex is None:
-            return lambda vector: (sum(vector), nash_key(vector))
-        return lambda vector: (sum(vector), psi(vector))
+        return lambda vector: (sum(vector), nash_key(vector))
     raise ValueError("unknown objective: %r" % (objective,))
 
 
 def _reported_optimum(objective: str, key, vector, convex):
-    if objective in ("usw", "egalitarian", "leximin", "mnw"):
-        return key
     if objective == "min_convex":
-        phi = CONVEX_BUILTINS[convex] if isinstance(convex, str) else convex
-        return (key[0], phi(vector))
+        return (key[0], _gauge(convex)(vector))
     return key
 
 
 def oracle_optimal(instance: Instance, objective: str, convex="sum_squares",
-                   complete_only: bool = False, budget: int = ORACLE_BUDGET,
+                   complete_only: bool = False, budget: int = ENUMERATION_BUDGET,
                    witness_cap: int = WITNESS_CAP) -> OracleResult:
     """Exact optimum of the objective by full enumeration.
 
     usw and egalitarian maximize their scalar; leximin maximizes the
     ascending sorted vector lexicographically; mnw maximizes support size
-    and then the product over the support.  min_convex minimizes the given
-    symmetric convex function among utilitarian-optimal allocations, and
-    max_concave maximizes a symmetric concave one there (the default
-    compares like the sum of ln z with the largest-support refinement).
-    Witnesses come out in enumeration order, capped at witness_cap.
+    and then the product over the support.  Among utilitarian-optimal
+    allocations, min_convex minimizes the symmetric convex gauge
+    ``convex`` (a CONVEX_BUILTINS name or a function), and max_concave
+    maximizes the sum of ln z with the largest-support refinement, i.e.
+    the Nash key.  ``convex`` is read by min_convex only.  Witnesses come
+    out in enumeration order, capped at witness_cap.
     """
     if objective not in OBJECTIVES:
         raise ValueError("unknown objective: %r" % (objective,))
-    if objective == "max_concave" and convex == "sum_squares":
-        convex = None
-    _check_budget(instance, complete_only, budget)
-    items, _, tables = _tables(instance)
+    items, tables = _tables(instance, complete_only, budget)
     key_of = _objective_key(objective, convex)
 
     best_key = None
@@ -289,7 +285,8 @@ def _dominates(winner, loser) -> bool:
     return better
 
 
-def verify_equivalences(instance: Instance, budget: int = ORACLE_BUDGET) -> EquivalenceReport:
+def verify_equivalences(instance: Instance,
+                        budget: int = ENUMERATION_BUDGET) -> EquivalenceReport:
     """Machine-check the structural claims that full enumeration can decide.
 
     Six outcomes, all by exhaustive scan:
@@ -314,8 +311,7 @@ def verify_equivalences(instance: Instance, budget: int = ORACLE_BUDGET) -> Equi
     All six provably hold for matroid-rank valuations; counterexamples on
     other valuation classes are reported, not raised.
     """
-    _check_budget(instance, False, budget)
-    items, _, tables = _tables(instance)
+    items, tables = _tables(instance, False, budget)
 
     vector_first: dict = {}
     for pattern, _, vector in _scan(instance, items, tables, False):
@@ -485,23 +481,21 @@ def verify_equivalences(instance: Instance, budget: int = ORACLE_BUDGET) -> Equi
 
 
 def max_usw_value(instance: Instance, complete_only: bool = False,
-                  budget: int = ORACLE_BUDGET):
+                  budget: int = ENUMERATION_BUDGET):
     """Maximum utilitarian welfare over the enumerated allocations."""
-    _check_budget(instance, complete_only, budget)
-    items, _, tables = _tables(instance)
+    items, tables = _tables(instance, complete_only, budget)
     return max(sum(vector)
                for _, _, vector in _scan(instance, items, tables, complete_only))
 
 
 def usw_optimal_all_clean_complete(instance: Instance,
-                                   budget: int = ORACLE_BUDGET) -> bool:
+                                   budget: int = ENUMERATION_BUDGET) -> bool:
     """Whether every utilitarian-optimal allocation is clean and complete.
 
     For matroid-rank valuations this holds exactly when the maximal
     utilitarian welfare equals the number of items.
     """
-    _check_budget(instance, False, budget)
-    items, _, tables = _tables(instance)
+    items, tables = _tables(instance, False, budget)
     best = None
     witnesses = []
     for pattern, masks, vector in _scan(instance, items, tables, False):

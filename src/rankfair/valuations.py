@@ -188,6 +188,20 @@ def scale(valuation, lam) -> ScaledValuation:
     return ScaledValuation(valuation, lam)
 
 
+def subset_tables(valuations, items) -> tuple:
+    """(subsets, tables) over every subset of ``items``; bit p stands for items[p].
+
+    subsets[mask] is the frozenset and tables[k][mask] its value under the
+    k-th valuation.  The caller bounds the cost of 2^len(items) values each.
+    """
+    subsets = [frozenset()] * (1 << len(items))
+    for mask in range(1, len(subsets)):
+        low = mask & -mask
+        subsets[mask] = subsets[mask ^ low] | {items[low.bit_length() - 1]}
+    return subsets, [[valuation.value(subset) for subset in subsets]
+                     for valuation in valuations]
+
+
 @dataclass(frozen=True)
 class RankReport:
     """Outcome of verify_matroid_rank.
@@ -223,13 +237,7 @@ def verify_matroid_rank(valuation, items, limit: int = EXHAUSTIVE_LIMIT) -> Rank
     if m > limit:
         raise BudgetExceeded("exhaustive matroid-rank verification", 2**m, 2**limit)
 
-    table = [0] * (2**m)
-    subset = [frozenset()] * (2**m)
-    for mask in range(2**m):
-        if mask:
-            low = (mask & -mask).bit_length() - 1
-            subset[mask] = subset[mask ^ (1 << low)] | {items[low]}
-        table[mask] = valuation.value(subset[mask])
+    subset, (table,) = subset_tables([valuation], items)
     checked = 2**m
 
     if table[0] != 0:

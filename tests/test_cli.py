@@ -1,8 +1,13 @@
 """End-to-end CLI coverage through main(), one test per exit path."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import rankfair
 
 from rankfair import fixtures
 from rankfair.cli import main
@@ -205,6 +210,26 @@ def test_validate_spot_check_mode(tmp_path, capsys):
                  "--seed", "3"])
     assert code == 4
     assert "non-conclusive" in capsys.readouterr().out
+
+
+def test_validate_witness_follows_item_order(tmp_path):
+    # Every item is worth 2, so the first marginal checked already fails;
+    # the reported item is the first one in index order, whatever the
+    # hash seed of the process.
+    items = ["o%d" % k for k in range(1, 7)]
+    doc = tmp_path / "instance.json"
+    doc.write_text(json.dumps({
+        "schema": 1, "items": items,
+        "agents": [{"id": "a", "valuation": {"type": "assignment", "members": [
+            {"id": "a1", "weights": {item: "2" for item in items}}]}}]}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rankfair.__file__)))
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", "rankfair", "validate",
+                              "--input", str(doc)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 4
+        assert run.stdout == "agent a: FAIL binary marginals subset=[] item=o1 gain=2\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rankfair.core import (Allocation, AllocationError, Instance, clean,
-                           format_exact, is_clean, is_complete,
+                           first_zero_marginal, format_exact, is_clean, is_complete,
                            leximin_compare, marginal_gain, parse_exact,
                            sorted_vector, validate_allocation, values_vector,
                            welfare_profile)
@@ -91,6 +91,20 @@ def test_clean_removes_zero_marginal_items_only():
     assert inst.value("a", cleaned.bundle("a")) == inst.value("a", alloc.bundle("a"))
     # dropped items land in the withheld pool, nothing is lost
     assert cleaned.bundle("a") | cleaned.withheld == frozenset(inst.items)
+
+
+def test_first_zero_marginal_scans_in_index_order():
+    inst = Instance(
+        agents=("a", "b"),
+        items=("x", "y", "z"),
+        valuations={"a": BinaryAdditiveValuation({"x"}),
+                    "b": BinaryAssignmentValuation({"m1": {"x", "y"}})},
+    )
+    alloc = Allocation.from_bundles(inst, {"a": {"x"}, "b": {"z", "y"}})
+    assert first_zero_marginal(inst, alloc) == ("b", "z")
+    alloc = Allocation.from_bundles(inst, {"a": {"z", "y", "x"}})
+    assert first_zero_marginal(inst, alloc) == ("a", "y")
+    assert first_zero_marginal(inst, clean(inst, alloc)) is None
 
 
 def test_is_complete():

@@ -6,8 +6,8 @@ import pytest
 from rankfair import fixtures as fx
 from rankfair.core import Allocation, BudgetExceeded, Instance
 from rankfair.fairness import (check_mms, check_po_bruteforce,
-                               check_proportional, check_wprop1, envy_report,
-                               full_report, min_eqc, mms_share)
+                               check_proportional, check_wprop1, ef1_pair,
+                               envy_report, full_report, min_eqc, mms_share)
 from rankfair.valuations import BinaryAdditiveValuation
 
 from randgen import random_matroid_instance, random_allocation
@@ -149,6 +149,36 @@ def test_budgets_refuse_rather_than_approximate():
         mms_share(inst, "g1", budget=1)
     with pytest.raises(BudgetExceeded):
         check_po_bruteforce(inst, alloc, budget=1)
+
+
+def test_budget_refusals_name_what_they_would_enumerate():
+    inst = fx.two_group_matching_instance()
+    alloc = fx.balanced_split_allocation(inst)
+    for call, what, needed in (
+            (lambda: mms_share(inst, "g1", budget=1),
+             "maximin-share partition enumeration", 2 ** inst.m),
+            (lambda: check_po_bruteforce(inst, alloc, budget=1),
+             "allocation enumeration", 3 ** inst.m)):
+        with pytest.raises(BudgetExceeded) as caught:
+            call()
+        assert (caught.value.what, caught.value.needed) == (what, needed)
+    # one budget governs every exhaustive section of the report
+    with pytest.raises(BudgetExceeded) as caught:
+        full_report(inst, alloc, include_po=True, budget=3 ** inst.m - 1)
+    assert caught.value.what == "allocation enumeration"
+
+
+def test_ef1_pair_reports_the_first_removal_in_index_order():
+    inst = Instance(agents=("a", "b"), items=("x", "y", "z"),
+                    valuations={"a": BinaryAdditiveValuation({"x", "y", "z"}),
+                                "b": BinaryAdditiveValuation({"x"})})
+    alloc = Allocation.from_bundles(inst, {"a": {"x"}, "b": {"z", "y"}})
+    assert ef1_pair(inst, alloc, "a", "b") == (True, "y")
+    assert ef1_pair(inst, alloc, "b", "a") == (True, "x")
+    assert envy_report(inst, alloc).pairs[("a", "b")].ef1_witness == "y"
+    alloc = Allocation.from_bundles(inst, {"b": {"x", "y", "z"}})
+    assert ef1_pair(inst, alloc, "a", "b") == (False, None)
+    assert ef1_pair(inst, alloc, "b", "a") == (True, None)
 
 
 def test_full_report_sections():

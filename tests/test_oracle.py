@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from rankfair import fixtures as fx
 from rankfair.core import BudgetExceeded, Instance, values_vector
+from rankfair.fairness import mms_share
 from rankfair.oracle import (enumerate_allocations, iterated_power,
                              leximin_key, max_usw_value, nash_key,
                              oracle_optimal, sum_fourth, sum_squares,
@@ -81,6 +83,42 @@ def test_two_group_optimizer_families_agree_on_the_vector():
     fourth = oracle_optimal(inst, "min_convex", convex="sum_fourth")
     assert fourth.optimal_value == (6, 162)
     assert tuple(sorted(fourth.optimal_vector)) == expected
+
+
+def test_max_concave_ignores_the_convex_gauge():
+    # Maximizing sum_fourth among utilitarian optima would pick (3, 0, 2);
+    # max_concave maximizes the Nash key whatever gauge is passed.
+    inst = Instance(agents=("g1", "g2", "g3"),
+                    items=("o1", "o2", "o3", "o4", "o5"),
+                    valuations={"g1": BinaryAdditiveValuation({"o2", "o4", "o5"}),
+                                "g2": BinaryAdditiveValuation({"o1", "o2", "o5"}),
+                                "g3": BinaryAdditiveValuation({"o1", "o3"})})
+    default = oracle_optimal(inst, "max_concave")
+    assert default.optimal_vector == (2, 2, 1)
+    assert default.optimal_value == (5, (3, 4))
+    for convex in ("sum_fourth", "zlogz", sum_squares):
+        result = oracle_optimal(inst, "max_concave", convex=convex)
+        assert result.optimal_vector == default.optimal_vector
+        assert result.optimal_value == default.optimal_value
+        assert result.witness_count == default.witness_count
+
+
+def test_one_agent_complete_scans_skip_the_subset_table():
+    # One agent and no withholding leave a single placement, so no 2^m
+    # table may be built: 2^40 values would never finish.
+    items = tuple("o%d" % k for k in range(40))
+    inst = Instance(agents=("a",), items=items,
+                    valuations={"a": BinaryAdditiveValuation(items[::2])})
+    start = time.perf_counter()
+    result = oracle_optimal(inst, "usw", complete_only=True, budget=1)
+    share = mms_share(inst, "a", budget=1)
+    assert time.perf_counter() - start < 1
+    assert result.optimal_vector == (20,)
+    assert result.scanned == 1 and result.witness_count == 1
+    assert result.witnesses[0].bundle("a") == frozenset(items)
+    assert share == 20
+    with pytest.raises(BudgetExceeded):
+        oracle_optimal(inst, "usw", budget=2 ** 40 - 1)
 
 
 def test_witness_cap_counts_all_winners():
