@@ -5,20 +5,21 @@ agent pair and collected into a report.  Global criteria (proportionality,
 WPROP1, equitability up to c items, maximin share, brute-force Pareto
 optimality) are computed by dedicated functions; the exhaustive ones refuse
 to run past an explicit enumeration budget instead of silently degrading.
-Pareto optimality and the maximin share walk the enumeration oracle's
-placement scan over bitmask value tables (``oracle._scan``).
+Pareto optimality and the maximin share run on the enumeration oracle's
+block walk over bitmask value tables (``oracle._blocks``) and decide on the
+distinct value vectors it yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
 from typing import Mapping, Optional
 
 from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance
-from .oracle import _dominates, _pattern_to_allocation, _scan, _tables
+from .oracle import _allocation_at, _blocks, _counts, _dominates, _tables
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,6 @@ class FairnessReport:
     @property
     def mef1(self) -> bool:
         return self.all_pairs("mef1")
-
-    def failing_pairs(self, flag: str):
-        return [pair for pair, check in sorted(self.pairs.items())
-                if not getattr(check, flag)]
 
 
 def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tuple:
@@ -256,8 +253,7 @@ def mms_share(instance: Instance, agent: str, budget: int = ENUMERATION_BUDGET):
     """
     items, tables = _tables(instance, True, budget, [instance.valuation(agent)],
                             "maximin-share partition enumeration")
-    scan = _scan(instance, items, tables * instance.n, True)
-    return max((min(parts) for _, _, parts in scan), default=None)
+    return max(map(min, _counts(tables * instance.n, len(items), True)), default=None)
 
 
 def check_mms(instance: Instance, allocation: Allocation,
@@ -286,9 +282,11 @@ def check_po_bruteforce(instance: Instance, allocation: Allocation,
     """
     items, tables = _tables(instance, False, budget)
     current = tuple(instance.value(i, allocation.bundle(i)) for i in instance.agents)
-    for pattern, _, vector in _scan(instance, items, tables, False):
-        if _dominates(vector, current):
-            return False, _pattern_to_allocation(instance, items, pattern)
+    for start, vectors in _blocks(tables, len(items), False):
+        dominating = {vector for vector in set(vectors) if _dominates(vector, current)}
+        if dominating:
+            index = next(compress(count(start), map(dominating.__contains__, vectors)))
+            return False, _allocation_at(instance, items, index)
     return True, None
 
 

@@ -115,12 +115,6 @@ def leximin_not_usw_split(instance: Instance) -> Allocation:
     )
 
 
-def leximin_not_usw_optimum(instance: Instance) -> Allocation:
-    return Allocation.from_bundles(
-        instance, {"alice": set(), "bob": {"o1"}, "charlie": {"o2"}}
-    )
-
-
 def ef1_not_efx0_instance() -> Instance:
     """Four items, two groups; the canonical EF1-but-not-EFX0 allocation.
 
@@ -288,12 +282,6 @@ def capped_count_instance() -> Instance:
     v1 = TruncatedValuation(BinaryAdditiveValuation(items), 2)
     v2 = BinaryAdditiveValuation(items)
     return Instance(agents=("p1", "p2"), items=items, valuations={"p1": v1, "p2": v2})
-
-
-def capped_count_allocation(instance: Instance) -> Allocation:
-    return Allocation.from_bundles(
-        instance, {"p1": {"o1"}, "p2": {"o2", "o3", "o4"}}
-    )
 
 
 def truncation_shortfall_instance() -> Instance:

@@ -7,18 +7,24 @@ matroid-rank valuations.  Every scan refuses to start once the number of
 placements exceeds an explicit budget: this module is a measuring
 instrument for tests, not a solver.
 
-``_scan`` over the bitmask value tables of ``_tables`` is the package's
+``_blocks`` over the bitmask value tables of ``_tables`` is the package's
 one placement walk: the brute-force Pareto and maximin-share checkers of
-``fairness`` run on it too.  The ``convex`` gauge argument is read by the
-min_convex objective only.
+``fairness`` run on it too.  It fixes the leading half of the items per
+block and gathers the vectors of every placement of the trailing half
+with ``itemgetter`` and ``zip``.  Checks decide on the distinct vectors
+(``_counts``); placements are decoded from their index (``_masks_at``)
+only to name witnesses, in enumeration order.  The ``convex`` gauge
+argument is read by the min_convex objective only.
 
 The verification routines run on any instance; their pass guarantees are
 only promised for matroid-rank valuations, and running them on other
 valuation classes is how the expected failures are demonstrated.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, compress, count, islice
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance
@@ -130,38 +136,75 @@ def _tables(instance: Instance, complete_only: bool, budget: int, valuations=Non
     return items, subset_tables(valuations, items)[1]
 
 
-def _scan(instance, items, tables, complete_only):
-    """Yield (pattern, masks, vector) over all placements in lex order.
+def _digit_masks(n, base, length):
+    """masks[k][t]: agent k's bits in the t-th of base^length placements, in lex order."""
+    masks = [[0]] * n
+    for _ in range(length):  # prepend a leading digit, which takes bit 0
+        masks = [[(digit == k) | rest << 1 for digit in range(base) for rest in agent]
+                 for k, agent in enumerate(masks)]
+    return masks
 
-    Pattern digit k < n sends the item to agent k (index order); digit n
-    withholds it and is absent when complete_only is set.
+
+def _blocks(tables, m, complete_only):
+    """Yield (start, vectors) over all placements of m items, in lex order.
+
+    Digit p of a placement gives item p to the agent of that index; digit
+    n withholds it and is absent when complete_only is set.  A block fixes
+    the leading m // 2 digits, the low bits of every mask, and lists the
+    vectors of the trailing placements, numbered start + t.
     """
-    n = instance.n
+    n = len(tables)
     base = n if complete_only else n + 1
-    for pattern in product(range(base), repeat=len(items)):
-        masks = [0] * n
-        for pos, digit in enumerate(pattern):
-            if digit < n:
-                masks[digit] |= 1 << pos
-        vector = tuple(tables[k][masks[k]] for k in range(n))
-        yield pattern, masks, vector
+    if base < 2 or not m:  # at most one placement; a one-agent table holds only it
+        yield 0, [tuple(table[(1 << m) - 1] for table in tables)] * base ** m
+        return
+    head = m // 2
+    lead = _digit_masks(n, base, head)
+    gathers = [itemgetter(*masks) for masks in _digit_masks(n, base, m - head)]
+    size = base ** (m - head)
+    for h in range(base ** head):
+        yield h * size, list(zip(*[gather(table[masks[h]::1 << head])
+                                   for gather, table, masks in zip(gathers, tables, lead)]))
 
 
-def _pattern_to_allocation(instance: Instance, items, pattern) -> Allocation:
-    bundles = {agent: set() for agent in instance.agents}
-    for pos, digit in enumerate(pattern):
-        if digit < instance.n:
-            bundles[instance.agents[digit]].add(items[pos])
-    return Allocation.from_bundles(
-        instance, {agent: frozenset(members) for agent, members in bundles.items()})
+def _counts(tables, m, complete_only) -> Counter:
+    """Placements per distinct vector, keyed in order of first occurrence."""
+    counts = Counter()
+    for _, vectors in _blocks(tables, m, complete_only):
+        counts.update(vectors)
+    return counts
+
+
+def _indices(tables, m, complete_only, wanted):
+    """Indices of the placements whose vector is in ``wanted``, in order."""
+    blocks = _blocks(tables, m, complete_only) if wanted else ()
+    return chain.from_iterable(compress(count(start), map(wanted.__contains__, vectors))
+                               for start, vectors in blocks)
+
+
+def _masks_at(index, n, m, complete_only) -> list:
+    """Each agent's mask in the placement numbered ``index``."""
+    masks = [0] * (n + 1)
+    for pos in reversed(range(m)):
+        index, digit = divmod(index, n if complete_only else n + 1)
+        masks[digit] |= 1 << pos
+    return masks[:n]
+
+
+def _allocation_at(instance: Instance, items, index, complete_only=False) -> Allocation:
+    masks = _masks_at(index, instance.n, len(items), complete_only)
+    return Allocation.from_bundles(instance, {
+        agent: frozenset(item for pos, item in enumerate(items) if mask >> pos & 1)
+        for agent, mask in zip(instance.agents, masks)})
 
 
 def enumerate_allocations(instance: Instance, complete_only: bool = False,
                           budget: int = ENUMERATION_BUDGET):
     """Stream every allocation (including withholding) in lexicographic order."""
     items, tables = _tables(instance, complete_only, budget)
-    for pattern, _, _ in _scan(instance, items, tables, complete_only):
-        yield _pattern_to_allocation(instance, items, pattern)
+    for start, vectors in _blocks(tables, len(items), complete_only):
+        for index in range(start, start + len(vectors)):
+            yield _allocation_at(instance, items, index, complete_only)
 
 
 def _gauge(convex) -> Callable:
@@ -209,34 +252,20 @@ def oracle_optimal(instance: Instance, objective: str, convex="sum_squares",
         raise ValueError("unknown objective: %r" % (objective,))
     items, tables = _tables(instance, complete_only, budget)
     key_of = _objective_key(objective, convex)
-
-    best_key = None
-    best_vector = None
-    winners = []
-    winner_count = 0
-    scanned = 0
-    for pattern, _, vector in _scan(instance, items, tables, complete_only):
-        scanned += 1
-        key = key_of(vector)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_vector = vector
-            winners = [pattern]
-            winner_count = 1
-        elif key == best_key:
-            winner_count += 1
-            if len(winners) < witness_cap:
-                winners.append(pattern)
-
-    witnesses = tuple(_pattern_to_allocation(instance, items, pattern)
-                      for pattern in winners)
+    counts = _counts(tables, len(items), complete_only)
+    keys = {vector: key_of(vector) for vector in counts}
+    best_vector = max(keys, key=keys.__getitem__, default=None)
+    best_key = keys.get(best_vector)
+    winners = {vector for vector, key in keys.items() if key == best_key}
+    winner_indices = _indices(tables, len(items), complete_only, winners)
     return OracleResult(
         objective=objective,
         optimal_value=_reported_optimum(objective, best_key, best_vector, convex),
         optimal_vector=best_vector,
-        witnesses=witnesses,
-        witness_count=winner_count,
-        scanned=scanned,
+        witnesses=tuple(_allocation_at(instance, items, index, complete_only)
+                        for index in islice(winner_indices, witness_cap)),
+        witness_count=sum(counts[vector] for vector in winners),
+        scanned=sum(counts.values()),
     )
 
 
@@ -312,13 +341,12 @@ def verify_equivalences(instance: Instance,
     other valuation classes are reported, not raised.
     """
     items, tables = _tables(instance, False, budget)
+    n, m = instance.n, len(items)
 
-    vector_first: dict = {}
-    for pattern, _, vector in _scan(instance, items, tables, False):
-        if vector not in vector_first:
-            vector_first[vector] = pattern
+    def first_allocation(vector):
+        return _allocation_at(instance, items, next(_indices(tables, m, False, {vector})))
 
-    vectors = set(vector_first)
+    vectors = set(_counts(tables, m, False))
     max_usw = max(sum(vector) for vector in vectors)
     usw_optimal = {vector for vector in vectors if sum(vector) == max_usw}
     outcomes = []
@@ -347,7 +375,7 @@ def verify_equivalences(instance: Instance,
             pareto_gap, sum(pareto_gap), max_usw),
         counterexample=None if pareto_gap is None else {
             "vector": pareto_gap,
-            "allocation": _pattern_to_allocation(instance, items, vector_first[pareto_gap]),
+            "allocation": first_allocation(pareto_gap),
         },
     ))
 
@@ -384,19 +412,20 @@ def verify_equivalences(instance: Instance,
     # (c) Clean optima of either kind are envy-free up to one item.
     lex_violation = None
     nash_violation = None
-    for pattern, masks, vector in _scan(instance, items, tables, False):
+    optima = {v for v in vectors if leximin_key(v) == lex_best or nash_key(v) == nash_best}
+    for index in _indices(tables, m, False, optima):
+        masks = _masks_at(index, n, m, False)
+        vector = tuple(table[mask] for table, mask in zip(tables, masks))
         is_lex = leximin_key(vector) == lex_best
         is_nash = nash_key(vector) == nash_best
-        if not (is_lex or is_nash):
-            continue
         if not _mask_clean(tables, masks):
             continue
         if _mask_ef1(tables, masks):
             continue
         if is_lex and lex_violation is None:
-            lex_violation = (pattern, vector)
+            lex_violation = (index, vector)
         if is_nash and nash_violation is None:
-            nash_violation = (pattern, vector)
+            nash_violation = (index, vector)
         if lex_violation is not None and nash_violation is not None:
             break
     for name, violation in (("clean_leximin_ef1", lex_violation),
@@ -408,7 +437,7 @@ def verify_equivalences(instance: Instance,
             "clean optimal allocation with vector %s violates EF1" % (violation[1],),
             counterexample=None if violation is None else {
                 "vector": violation[1],
-                "allocation": _pattern_to_allocation(instance, items, violation[0]),
+                "allocation": _allocation_at(instance, items, violation[0]),
             },
         ))
 
@@ -440,8 +469,7 @@ def verify_equivalences(instance: Instance,
         % (unreachable,),
         counterexample=None if unreachable is None else {
             "vector": unreachable,
-            "allocation": _pattern_to_allocation(
-                instance, items, vector_first[unreachable]),
+            "allocation": first_allocation(unreachable),
         },
     ))
 
@@ -484,8 +512,7 @@ def max_usw_value(instance: Instance, complete_only: bool = False,
                   budget: int = ENUMERATION_BUDGET):
     """Maximum utilitarian welfare over the enumerated allocations."""
     items, tables = _tables(instance, complete_only, budget)
-    return max(sum(vector)
-               for _, _, vector in _scan(instance, items, tables, complete_only))
+    return max(map(sum, _counts(tables, len(items), complete_only)))
 
 
 def usw_optimal_all_clean_complete(instance: Instance,
@@ -493,22 +520,16 @@ def usw_optimal_all_clean_complete(instance: Instance,
     """Whether every utilitarian-optimal allocation is clean and complete.
 
     For matroid-rank valuations this holds exactly when the maximal
-    utilitarian welfare equals the number of items.
+    utilitarian welfare equals the number of items.  The optima are
+    streamed in enumeration order and the scan stops at the first one
+    that withholds an item or is unclean.
     """
     items, tables = _tables(instance, False, budget)
-    best = None
-    witnesses = []
-    for pattern, masks, vector in _scan(instance, items, tables, False):
-        total = sum(vector)
-        if best is None or total > best:
-            best = total
-            witnesses = [(pattern, masks)]
-        elif total == best:
-            witnesses.append((pattern, masks))
-    n = instance.n
-    for pattern, masks in witnesses:
-        if any(digit == n for digit in pattern):
-            return False
-        if not _mask_clean(tables, masks):
+    m = len(items)
+    counts = _counts(tables, m, False)
+    best = max(map(sum, counts))
+    for index in _indices(tables, m, False, {v for v in counts if sum(v) == best}):
+        masks = _masks_at(index, instance.n, m, False)
+        if sum(masks) != (1 << m) - 1 or not _mask_clean(tables, masks):
             return False
     return True

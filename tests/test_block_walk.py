@@ -1,0 +1,244 @@
+"""Differential tests of the oracle's block walk against a per-placement loop.
+
+``_reference_scan`` is the walk the block walk replaced: one
+``itertools.product`` pattern per placement, bundles rebuilt from the
+pattern and valued through the instance.  Every exhaustive check must give
+the same answers, witnesses and witness order on it.
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from rankfair import fixtures as fx
+from rankfair.core import Allocation, Instance, is_clean
+from rankfair.fairness import check_po_bruteforce, ef1_pair, mms_share
+from rankfair.oracle import (OBJECTIVES, _counts, _objective_key, _reported_optimum,
+                             _tables, enumerate_allocations, leximin_key,
+                             max_usw_value, nash_key, oracle_optimal,
+                             usw_optimal_all_clean_complete, verify_equivalences)
+from rankfair.valuations import BinaryAdditiveValuation, ScaledValuation
+
+from randgen import random_matroid_instance, random_scaled_instance
+
+
+def _reference_scan(instance, complete_only):
+    """[(allocation, vector)] over every placement, in lex order."""
+    n, items = instance.n, instance.items
+    out = []
+    for pattern in product(range(n if complete_only else n + 1), repeat=len(items)):
+        allocation = Allocation.from_bundles(instance, {
+            agent: frozenset(item for item, digit in zip(items, pattern) if digit == k)
+            for k, agent in enumerate(instance.agents)})
+        out.append((allocation, tuple(instance.value(agent, allocation.bundle(agent))
+                                      for agent in instance.agents)))
+    return out
+
+
+def _reference_oracle(instance, scan, objective, convex, witness_cap):
+    key_of = _objective_key(objective, convex)
+    best_key = best_vector = None
+    winners, count = [], 0
+    for allocation, vector in scan:
+        key = key_of(vector)
+        if best_key is None or key > best_key:
+            best_key, best_vector, winners, count = key, vector, [allocation], 1
+        elif key == best_key:
+            count += 1
+            if len(winners) < witness_cap:
+                winners.append(allocation)
+    return (objective, _reported_optimum(objective, best_key, best_vector, convex),
+            best_vector, tuple(winners), count, len(scan))
+
+
+def _dominates(winner, loser):
+    return all(a >= b for a, b in zip(winner, loser)) and winner != loser
+
+
+def _is_ef1(instance, allocation):
+    return all(ef1_pair(instance, allocation, i, j)[0]
+               for i in instance.agents for j in instance.agents if i != j)
+
+
+def _reference_equivalences(instance, scan):
+    """Outcome name -> counterexample allocation (None when the claim holds).
+
+    Covers the four claims whose counterexample names a placement.
+    """
+    first = {}
+    for allocation, vector in scan:
+        first.setdefault(vector, allocation)
+    vectors = set(first)
+    best = max(map(sum, vectors))
+    usw_optimal = {v for v in vectors if sum(v) == best}
+    lex_best = max(map(leximin_key, vectors))
+    nash_best = max(map(nash_key, vectors))
+    gap = next((v for v in sorted(vectors) if sum(v) < best
+                and not any(_dominates(w, v) for w in vectors)), None)
+
+    def balances(v):
+        return any(v[j] >= v[i] + 2 and tuple(
+            z + (k == i) - (k == j) for k, z in enumerate(v)) in usw_optimal
+            for i in range(len(v)) for j in range(len(v)))
+
+    unreachable = next((v for v in sorted(usw_optimal)
+                        if leximin_key(v) != lex_best and not balances(v)), None)
+
+    def violation(is_optimal):
+        return next((allocation for allocation, vector in scan if is_optimal(vector)
+                     and is_clean(instance, allocation)
+                     and not _is_ef1(instance, allocation)), None)
+
+    return {
+        "pareto_implies_usw_optimal": None if gap is None else first[gap],
+        "clean_leximin_ef1": violation(lambda v: leximin_key(v) == lex_best),
+        "clean_mnw_ef1": violation(lambda v: nash_key(v) == nash_best),
+        "usw_optimal_reachability": None if unreachable is None else first[unreachable],
+    }
+
+
+class _Table:
+    """A valuation read from a table of frozensets; absent bundles are worth 0."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def value(self, bundle):
+        return self.table.get(frozenset(bundle), 0)
+
+
+def _zero_instance(n, m):
+    items = tuple("o%d" % k for k in range(1, m + 1))
+    agents = tuple("g%d" % k for k in range(1, n + 1))
+    return Instance(agents=agents, items=items,
+                    valuations={a: BinaryAdditiveValuation(set()) for a in agents})
+
+
+def _cases():
+    rng = random.Random(31)
+    cases = [random_matroid_instance(rng, n=n, m=m)
+             for n, m in ((2, 0), (3, 0), (1, 5), (1, 6), (2, 5), (2, 6), (3, 5), (2, 7))]
+    cases += [random_scaled_instance(rng, n=2, m=m) for m in (3, 4, 5)]
+    fractional = ScaledValuation(BinaryAdditiveValuation({"o1", "o3"}), Fraction(3, 2))
+    cases.append(Instance(agents=("p1", "p2"), items=("o1", "o2", "o3"),
+                          valuations={"p1": fractional,
+                                      "p2": BinaryAdditiveValuation({"o2", "o3"})}))
+    cases += [fx.scaled_pair_instance(), fx.usw_not_ef1_instance(),
+              fx.truncation_shortfall_instance(), _zero_instance(2, 3)]
+    # Not monotone: its utilitarian optima are clean but withhold an item.
+    drop = _Table({frozenset({"o1"}): 1, frozenset({"o2"}): 1})
+    cases.append(Instance(agents=("p1",), items=("o1", "o2"), valuations={"p1": drop}))
+    return cases
+
+
+CASES = _cases()
+
+
+def test_cases_cover_the_walks_edge_shapes():
+    shapes = {(inst.n, inst.m) for inst in CASES}
+    assert {(2, 0), (1, 5), (2, 7)} <= shapes          # m = 0, one agent, odd m
+    assert any(isinstance(value, Fraction)
+               for inst in CASES for _, vector in _reference_scan(inst, False)
+               for value in vector)
+
+
+@pytest.mark.parametrize("complete_only", [False, True])
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_block_walk_matches_the_per_placement_loop(index, complete_only):
+    inst = CASES[index]
+    scan = _reference_scan(inst, complete_only)
+    assert list(enumerate_allocations(inst, complete_only=complete_only)) == [
+        allocation for allocation, _ in scan]
+
+    items, tables = _tables(inst, complete_only, 10 ** 6)
+    counts = _counts(tables, len(items), complete_only)
+    assert list(counts.items()) == list(Counter(vector for _, vector in scan).items())
+
+    for objective in OBJECTIVES:
+        for convex in ("sum_squares", "zlogz"):
+            for cap in (64, 2):
+                result = oracle_optimal(inst, objective, convex=convex,
+                                        complete_only=complete_only, witness_cap=cap)
+                got = (result.objective, result.optimal_value, result.optimal_vector,
+                       result.witnesses, result.witness_count, result.scanned)
+                expected = _reference_oracle(inst, scan, objective, convex, cap)
+                assert got == expected
+                assert repr(got[1:3]) == repr(expected[1:3])   # same number types
+
+    assert max_usw_value(inst, complete_only=complete_only) == max(
+        sum(vector) for _, vector in scan)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_po_mms_and_equivalences_match_the_per_placement_loop(index):
+    inst = CASES[index]
+    scan = _reference_scan(inst, False)
+    rng = random.Random(index)
+    candidates = [Allocation.from_bundles(inst, {})] + [
+        scan[rng.randrange(len(scan))][0] for _ in range(6)]
+    for allocation in candidates:
+        current = tuple(inst.value(a, allocation.bundle(a)) for a in inst.agents)
+        witness = next((other for other, vector in scan if _dominates(vector, current)), None)
+        assert check_po_bruteforce(inst, allocation) == (witness is None, witness)
+
+    complete = _reference_scan(inst, True)
+    for agent in inst.agents:
+        share = mms_share(inst, agent)
+        expected = max(min(inst.value(agent, allocation.bundle(a)) for a in inst.agents)
+                       for allocation, _ in complete)
+        assert share == expected and repr(share) == repr(expected)
+
+    best = max(sum(vector) for _, vector in scan)
+    assert usw_optimal_all_clean_complete(inst) == all(
+        not allocation.withheld and is_clean(inst, allocation)
+        for allocation, vector in scan if sum(vector) == best)
+
+    report = verify_equivalences(inst)
+    for name, counterexample in _reference_equivalences(inst, scan).items():
+        outcome = report.outcome(name)
+        assert outcome.ok == (counterexample is None), name
+        if counterexample is not None:
+            assert outcome.counterexample["allocation"] == counterexample, name
+
+
+def test_scaled_pair_counterexample_is_the_first_clean_leximin_optimum():
+    inst = fx.scaled_pair_instance()
+    report = verify_equivalences(inst)
+    outcome = report.outcome("clean_leximin_ef1")
+    assert not outcome.ok
+    assert outcome.counterexample["vector"] == (3, 3)
+    assert outcome.counterexample["allocation"] == fx.scaled_pair_leximin(inst)
+    assert report.outcome("clean_mnw_ef1").ok
+
+
+def test_all_optimal_placements_are_streamed_in_little_memory():
+    # All-zero valuations make every one of the 4^9 placements
+    # utilitarian-optimal; the answer must not keep them.
+    inst = _zero_instance(3, 9)
+    tracemalloc.start()
+    try:
+        assert usw_optimal_all_clean_complete(inst) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
+DEMO_SHA256 = "8bc8ca16690d918c832dac5ade19babaac983bfcf691c05dfe3feac138a50e67"
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "5"])
+def test_fairness_tour_output_is_pinned(seed):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(root, "src"))
+    run = subprocess.run([sys.executable, os.path.join(root, "demos", "fairness_tour.py")],
+                         env=env, capture_output=True, check=True)
+    assert hashlib.sha256(run.stdout).hexdigest() == DEMO_SHA256
