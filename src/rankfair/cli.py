@@ -29,7 +29,7 @@ from .documents import (DocumentError, dump_path, dumps, load_path,
 from .eit import (eit_ef1, eit_general, envy_graph_baseline, price_of_fairness,
                   waste)
 from .fairness import (check_mms, check_po_bruteforce, check_proportional,
-                       check_wprop1, envy_report, min_eqc)
+                       check_wprop1, envy_report, first_ef1_violation, min_eqc)
 from .oracle import oracle_optimal
 from .valuations import EXHAUSTIVE_LIMIT, spot_check_matroid_rank, verify_matroid_rank
 
@@ -77,7 +77,7 @@ def _solve_metrics(instance, allocation, algorithm, log, exhausted, side_files):
         "values": {agent: _exact(v) for agent, v in zip(instance.agents, vector)},
         "sorted_values": [_exact(v) for v in sorted(vector)],
         "phi": _exact(sum(v * v for v in vector)),
-        "ef1": envy_report(instance, allocation).ef1,
+        "ef1": first_ef1_violation(instance, allocation) is None,
     }
     try:
         count, pct = waste(instance, allocation)

@@ -32,9 +32,9 @@ from .core import (
     marginal_gain,
     values_vector,
 )
-from .fairness import ef1_pair
+from .fairness import ef1_pair, first_ef1_violation
 from .matching import max_cardinality_matching, max_weight_matching
-from .matroid_intersection import max_common_independent_set
+from .matroid_intersection import max_common_independent_set, shortest_path
 from .valuations import AssignmentValuation
 
 WITHHELD = "-"  # stands in for the withheld pool in transfer logs
@@ -78,14 +78,6 @@ class TransferLog:
 def potential_phi(instance: Instance, allocation: Allocation):
     """Sum of squared bundle values; the termination potential for transfers."""
     return sum(v * v for v in values_vector(instance, allocation))
-
-
-def _first_ef1_violation(instance, allocation):
-    for i in instance.agents:
-        for j in instance.agents:
-            if i != j and not ef1_pair(instance, allocation, i, j)[0]:
-                return i, j
-    return None
 
 
 def find_transferable_item(
@@ -148,7 +140,7 @@ def eit_ef1(instance: Instance, initial: Allocation | None = None) -> tuple:
     log = TransferLog()
     bound = instance.m * instance.m // 2 + 1
     for _ in range(bound):
-        pair = _first_ef1_violation(instance, allocation)
+        pair = first_ef1_violation(instance, allocation)
         if pair is None:
             return allocation, log
         i, j = pair
@@ -329,6 +321,21 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
         sweep_unused(i)
 
 
+def _shortest_envy_cycle(agents, edges):
+    """Shortest cycle of the envy graph ``edges`` (agent -> envied agents).
+
+    Each start in ``agents`` order gets a shortest cycle through it, with
+    successors taken in ``edges`` order, and the first strictly shorter
+    cycle wins.  None when the graph is acyclic.
+    """
+    best = None
+    for start in agents:
+        path = shortest_path([start], edges.__getitem__, lambda v: start in edges[v])
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
+    return best
+
+
 def envy_graph_baseline(instance: Instance) -> Allocation:
     """Greedy envy-graph procedure with the max-marginal-gain heuristic.
 
@@ -359,22 +366,6 @@ def envy_graph_baseline(instance: Instance) -> Allocation:
             envied.update(outs)
         return [a for a in instance.agents if a not in envied]
 
-    def shortest_cycle(edges):
-        best = None
-        for start in instance.agents:
-            queue = [(start, [start])]
-            seen = {start}
-            while queue:
-                node, path = queue.pop(0)
-                for nxt in edges[node]:
-                    if nxt == start:
-                        if best is None or len(path) < len(best):
-                            best = path
-                    elif nxt not in seen:
-                        seen.add(nxt)
-                        queue.append((nxt, path + [nxt]))
-        return best
-
     max_rounds = len(remaining) * (instance.n**2 + 1) + instance.n**2
     for _round in range(max_rounds):
         if not remaining:
@@ -382,7 +373,7 @@ def envy_graph_baseline(instance: Instance) -> Allocation:
         edges = envy_edges()
         free = unenvied_agents(edges)
         if not free:
-            cycle = shortest_cycle(edges)
+            cycle = _shortest_envy_cycle(instance.agents, edges)
             if cycle is None:
                 raise RuntimeError("every agent envied but the envy graph is acyclic")
             old = {a: bundles[a] for a in cycle}

@@ -110,6 +110,18 @@ def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tupl
     return False, None
 
 
+def first_ef1_violation(instance: Instance, allocation: Allocation):
+    """First ordered pair (i, j), in instance order, where i is not EF1 of j.
+
+    None when the allocation is EF1.
+    """
+    for i in instance.agents:
+        for j in instance.agents:
+            if i != j and not ef1_pair(instance, allocation, i, j)[0]:
+                return i, j
+    return None
+
+
 def _pair_check(instance: Instance, allocation: Allocation, i: str, j: str) -> PairCheck:
     own_bundle = allocation.bundle(i)
     other_bundle = allocation.bundle(j)

@@ -7,13 +7,16 @@ exactly when every agent's incident items form a clean bundle for them
 clean allocation of maximum utilitarian welfare, and is found here by
 repeated shortest augmenting paths in the exchange graph.
 
-Both circuits of an outside pair (a, o) are read off the structure of the
-current set X.  Partition side: if some agent h holds o, the circuit is
-{(a, o), (h, o)}; otherwise there is none.  Union side: the matroid is the
-direct sum of one clean-bundle matroid per agent, so only a's own bundle A
-takes part.  There is no circuit when v_a(A + o) = |A| + 1; otherwise the
-circuit is (a, o) together with {(a, x) : x in A, v_a(A - x + o) = |A|}.
-That answer depends on (a, A) alone and is kept for the whole run.
+The exchange graph of the current set X is never built.  Each augmentation
+runs ``shortest_path`` over it, asking for a vertex's successors only when
+the search expands that vertex, and both circuits are read off the
+structure of X.  Partition side: a pair (a, o) outside X is a source when
+no agent holds o; otherwise its circuit is {(a, o), (h, o)} with h the
+holder, so (h, o) has an arc to every (b, o) with b != h.  Union side: the
+matroid is the direct sum of one clean-bundle matroid per agent, so only
+a's own bundle A takes part.  (a, o) is a sink when v_a(A + o) = |A| + 1;
+otherwise it has an arc to every (a, x) with x in A and v_a(A - x + o) =
+|A|.  That answer depends on (a, A) alone and is kept for the whole run.
 
 Only use this on instances whose valuations are matroid rank functions
 (binary-marginal, monotone, submodular); anything else either leaves an
@@ -24,28 +27,35 @@ access behind declared families or an explicit verification pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
 
 from .core import Allocation, Instance, NonMatroidOracle
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
-    """Exchange graph of a common independent set X.
+def shortest_path(starts, successors, is_end):
+    """Lexicographically least shortest path from a start to an end vertex.
 
-    Vertices are ``(agent, item)`` tuples.  ``sources``: pairs outside X
-    addable on the partition side (item unused).  ``sinks``: pairs outside
-    X addable on the union side (the agent absorbs the item cleanly).
-    ``arcs`` maps each vertex to its sorted successor list: from y outside
-    X to the members of its union-side circuit, and from x inside X to the
-    outside pairs whose partition-side circuit contains x.  Augmenting
-    along a shortest source-to-sink path keeps X common independent.
+    A FIFO breadth-first search from ``starts``; returns the vertex list
+    of the path to the first end vertex it dequeues, or None.  When
+    ``starts`` and every ``successors(v)`` come in ascending order, each
+    layer is dequeued in lexicographic order of its least shortest path,
+    so that first end closes the lexicographically least of all shortest
+    start-to-end paths.
     """
-
-    vertices: tuple
-    sources: tuple
-    sinks: tuple
-    arcs: dict = field(hash=False)
+    parent = dict.fromkeys(starts)
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        if is_end(v):
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for w in successors(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None
 
 
 def _bundles(instance: Instance, X) -> dict:
@@ -58,113 +68,56 @@ def _bundles(instance: Instance, X) -> dict:
 def _union_side(instance: Instance, agent: str, bundle: frozenset):
     """Union-side sinks and circuits of ``agent``'s pairs outside ``bundle``.
 
-    Returns (sink items, {item: sorted circuit items inside ``bundle``}).
+    Returns (set of sink items, {item: sorted circuit items inside ``bundle``}).
     """
     value = instance.valuation(agent).value
     size = len(bundle)
-    sinks = []
+    sinks = set()
     circuits = {}
     for o in instance.items:
         if o in bundle:
             continue
         if value(bundle | {o}) == size + 1:
-            sinks.append(o)
+            sinks.add(o)
         else:
             circuits[o] = [x for x in sorted(bundle)
                            if value((bundle - {x}) | {o}) == size]
     return sinks, circuits
 
 
-def build_exchange_graph(instance: Instance, X, union_sides: dict) -> ExchangeGraph:
-    """Exchange graph of the common independent set X.
-
-    ``union_sides`` maps (agent, bundle) to that agent's union side; the
-    caller passes one dict per run so unchanged bundles are not re-valued.
-    """
-    holder = {o: a for a, o in X}
-    bundles = _bundles(instance, X)
-    vertices = tuple((a, o) for a in instance.agents for o in instance.items)
-    arcs = {v: [] for v in vertices}
-    sources = []
-    sinks = []
-    for a in instance.agents:
-        key = (a, frozenset(bundles[a]))
-        if key not in union_sides:
-            union_sides[key] = _union_side(instance, *key)
-        sink_items, circuits = union_sides[key]
-        sinks.extend((a, o) for o in sink_items)
-        for o in instance.items:
-            if o in bundles[a]:
-                continue
-            if o in circuits:
-                arcs[(a, o)] = [(a, x) for x in circuits[o]]
-            if o in holder:
-                arcs[(holder[o], o)].append((a, o))
-            else:
-                sources.append((a, o))
-    for x in X:
-        arcs[x].sort()
-    return ExchangeGraph(
-        vertices=vertices,
-        sources=tuple(sorted(sources)),
-        sinks=tuple(sorted(sinks)),
-        arcs=arcs,
-    )
-
-
-def _shortest_augmenting_path(graph: ExchangeGraph):
-    """Shortest source-to-sink path; ties by lexicographically least vertices.
-
-    Returns the vertex sequence or None.  Distance-to-sink is computed by a
-    reverse breadth-first search, then the path is grown greedily: start at
-    the least source of minimal distance and always step to the least
-    successor one layer closer to a sink.
-    """
-    sinks = set(graph.sinks)
-    if not sinks or not graph.sources:
-        return None
-    reverse = {v: [] for v in graph.vertices}
-    for v, outs in graph.arcs.items():
-        for w in outs:
-            reverse[w].append(v)
-    dist = {v: 0 for v in sinks}
-    frontier = sorted(sinks)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in reverse[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = sorted(set(nxt))
-    reachable = [s for s in graph.sources if s in dist]
-    if not reachable:
-        return None
-    best = min(dist[s] for s in reachable)
-    node = min(s for s in reachable if dist[s] == best)
-    path = [node]
-    while dist[node] > 0:
-        node = min(w for w in graph.arcs[node] if dist.get(w) == dist[node] - 1)
-        path.append(node)
-    return path
-
-
 def max_common_independent_set(instance: Instance) -> Allocation:
     """Clean allocation of maximum utilitarian welfare.
 
     Runs at most m augmentations; every augmentation grows the common
-    independent set by exactly one element.  After each augmentation the
-    new set is re-checked against both matroids; a failure means some
-    valuation is not actually a matroid rank function and is reported as
-    NonMatroidOracle naming that agent.
+    independent set by exactly one element.  Vertices are searched in
+    tuple order, so ids compare as strings (``g10`` before ``g2``).  After
+    each augmentation the new set is re-checked against both matroids; a
+    failure means some valuation is not actually a matroid rank function
+    and is reported as NonMatroidOracle naming that agent.
     """
+    agents, items = sorted(instance.agents), sorted(instance.items)
     union_sides = {}
     X = frozenset()
+    bundles = _bundles(instance, X)
     while True:
-        graph = build_exchange_graph(instance, X, union_sides)
-        path = _shortest_augmenting_path(graph)
+        sides = {}
+        for a in instance.agents:
+            key = (a, frozenset(bundles[a]))
+            if key not in union_sides:
+                union_sides[key] = _union_side(instance, *key)
+            sides[a] = union_sides[key]
+
+        def successors(v):
+            a, o = v
+            if v in X:
+                return [(b, o) for b in agents if b != a]
+            return [(a, x) for x in sides[a][1].get(o, ())]
+
+        held = {o for _, o in X}
+        sources = [(a, o) for a in agents for o in items if o not in held]
+        path = shortest_path(sources, successors, lambda v: v[1] in sides[v[0]][0])
         if path is None:
-            break
+            return Allocation.from_bundles(instance, bundles)
         X = X ^ frozenset(path)
         if len({o for _, o in X}) != len(X):
             raise NonMatroidOracle(
@@ -177,4 +130,3 @@ def max_common_independent_set(instance: Instance) -> Allocation:
             raise NonMatroidOracle(
                 unclean, "augmentation produced an unclean bundle"
             )
-    return Allocation.from_bundles(instance, _bundles(instance, X))

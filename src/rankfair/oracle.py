@@ -380,24 +380,22 @@ def verify_equivalences(instance: Instance,
     ))
 
     # (b) The five optimizer families single out the same sorted vector.
-    lex_best = max(leximin_key(vector) for vector in vectors)
-    leximin_set = {leximin_key(v) for v in vectors if leximin_key(v) == lex_best}
-    nash_best = max(nash_key(vector) for vector in vectors)
-    nash_set = {leximin_key(v) for v in vectors if nash_key(v) == nash_best}
-    sq_best = min(sum_squares(vector) for vector in usw_optimal)
-    sq_set = {leximin_key(v) for v in usw_optimal if sum_squares(v) == sq_best}
-    quartic_best = min(sum_fourth(vector) for vector in usw_optimal)
-    quartic_set = {leximin_key(v) for v in usw_optimal if sum_fourth(v) == quartic_best}
-    log_best = max(nash_key(vector) for vector in usw_optimal)
-    log_set = {leximin_key(v) for v in usw_optimal if nash_key(v) == log_best}
-    families = {
-        "leximin": leximin_set,
-        "mnw": nash_set,
-        "min_sum_squares_among_usw_optimal": sq_set,
-        "min_sum_fourth_among_usw_optimal": quartic_set,
-        "max_log_sum_among_usw_optimal": log_set,
+    def optimal_vectors(objective, convex="sum_squares"):
+        key_of = _objective_key(objective, convex)
+        keys = {vector: key_of(vector) for vector in vectors}
+        best = max(keys.values())
+        return {vector for vector, key in keys.items() if key == best}
+
+    optima = {
+        "leximin": optimal_vectors("leximin"),
+        "mnw": optimal_vectors("mnw"),
+        "min_sum_squares_among_usw_optimal": optimal_vectors("min_convex", "sum_squares"),
+        "min_sum_fourth_among_usw_optimal": optimal_vectors("min_convex", "sum_fourth"),
+        "max_log_sum_among_usw_optimal": optimal_vectors("max_concave"),
     }
-    coincide = all(family == leximin_set for family in families.values())
+    leximin_optima, nash_optima = optima["leximin"], optima["mnw"]
+    families = {name: set(map(leximin_key, found)) for name, found in optima.items()}
+    coincide = all(family == families["leximin"] for family in families.values())
     singleton = all(len(family) == 1 for family in families.values())
     outcomes.append(CheckOutcome(
         name="optimizer_sets_coincide",
@@ -412,12 +410,11 @@ def verify_equivalences(instance: Instance,
     # (c) Clean optima of either kind are envy-free up to one item.
     lex_violation = None
     nash_violation = None
-    optima = {v for v in vectors if leximin_key(v) == lex_best or nash_key(v) == nash_best}
-    for index in _indices(tables, m, False, optima):
+    for index in _indices(tables, m, False, leximin_optima | nash_optima):
         masks = _masks_at(index, n, m, False)
         vector = tuple(table[mask] for table, mask in zip(tables, masks))
-        is_lex = leximin_key(vector) == lex_best
-        is_nash = nash_key(vector) == nash_best
+        is_lex = vector in leximin_optima
+        is_nash = vector in nash_optima
         if not _mask_clean(tables, masks):
             continue
         if _mask_ef1(tables, masks):
@@ -442,11 +439,8 @@ def verify_equivalences(instance: Instance,
         ))
 
     # (d) Non-leximin utilitarian optima can always move one unit down.
-    unreachable = None
-    for vector in sorted(usw_optimal):
-        if leximin_key(vector) == lex_best:
-            continue
-        reachable = False
+    def balancing_transfers(vector):
+        # one unit from j to i, j richer by at least 2, landing in usw_optimal
         for i in range(len(vector)):
             for j in range(len(vector)):
                 if vector[j] >= vector[i] + 2:
@@ -454,13 +448,10 @@ def verify_equivalences(instance: Instance,
                     shifted[i] += 1
                     shifted[j] -= 1
                     if tuple(shifted) in usw_optimal:
-                        reachable = True
-                        break
-            if reachable:
-                break
-        if not reachable:
-            unreachable = vector
-            break
+                        yield tuple(shifted)
+
+    unreachable = next((vector for vector in sorted(usw_optimal - leximin_optima)
+                        if next(balancing_transfers(vector), None) is None), None)
     outcomes.append(CheckOutcome(
         name="usw_optimal_reachability",
         ok=unreachable is None,
@@ -474,28 +465,12 @@ def verify_equivalences(instance: Instance,
     ))
 
     # (e) One-unit balancing transfers move every gauge the right way.
-    gauge_breach = None
-    for vector in sorted(usw_optimal):
-        for i in range(len(vector)):
-            for j in range(len(vector)):
-                if vector[j] < vector[i] + 2:
-                    continue
-                shifted = list(vector)
-                shifted[i] += 1
-                shifted[j] -= 1
-                shifted = tuple(shifted)
-                if shifted not in usw_optimal:
-                    continue
-                ok = (sum_squares(shifted) < sum_squares(vector)
-                      and sum_fourth(shifted) < sum_fourth(vector)
-                      and nash_key(shifted) > nash_key(vector))
-                if not ok:
-                    gauge_breach = (vector, shifted)
-                    break
-            if gauge_breach:
-                break
-        if gauge_breach:
-            break
+    gauge_breach = next((
+        (vector, shifted)
+        for vector in sorted(usw_optimal) for shifted in balancing_transfers(vector)
+        if not (sum_squares(shifted) < sum_squares(vector)
+                and sum_fourth(shifted) < sum_fourth(vector)
+                and nash_key(shifted) > nash_key(vector))), None)
     outcomes.append(CheckOutcome(
         name="pigou_dalton_consistency",
         ok=gauge_breach is None,

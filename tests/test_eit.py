@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import inf
 
 import pytest
 
+from rankfair import eit
 from rankfair import fixtures as fx
 from rankfair.core import (Allocation, AllocationError, InapplicableAlgorithm,
                            Instance, TransferabilityViolated, is_clean,
@@ -16,6 +18,7 @@ from rankfair.fairness import envy_report
 from rankfair.oracle import max_usw_value
 from rankfair.valuations import BinaryAssignmentValuation
 
+import randgen
 from randgen import (random_matroid_instance, random_oxs_instance,
                      random_weighted_assignment_instance)
 
@@ -140,6 +143,58 @@ def test_envy_graph_baseline_fuzz_complete_and_ef1():
         assert alloc.allocated_items() == frozenset(inst.items)
         assert not validate_allocation(inst, alloc)
         assert envy_report(inst, alloc).ef1
+
+
+# (randgen family, seed, arguments, first 16 hex digits of the SHA-256 of
+# the baseline's bundles).  Each draw rotates at least one envy cycle; the
+# weighted-assignment ones rotate 3-cycles or two cycles in one run.
+_ROTATING = [
+    ("random_matroid_instance", 349, {}, "67fa25303a8407e8"),
+    ("random_matroid_instance", 527, {}, "f8c8f79a88dd9626"),
+    ("random_matroid_instance", 189, {"n": 4, "m": 8}, "98ea36944485ceb0"),
+    ("random_binary_additive_instance", 4, {}, "69ae1ed3e31e879a"),
+    ("random_binary_additive_instance", 135, {}, "d8b9dffc8064cf16"),
+    ("random_oxs_instance", 9, {}, "a09dd8145d834205"),
+    ("random_oxs_instance", 233, {}, "487d16222ce63add"),
+    ("random_scaled_instance", 65, {}, "d5e5044052f2fc49"),
+    ("random_scaled_instance", 482, {}, "3aefd7d2da404de5"),
+    ("random_weighted_assignment_instance", 317, {"n": 4, "m": 8}, "4e455c13ef7ffcad"),
+    ("random_weighted_assignment_instance", 385, {"n": 4, "m": 8}, "3f4fdbc04c11cba1"),
+    ("random_weighted_assignment_instance", 643, {"n": 4, "m": 8}, "fb711fae5efca892"),
+    ("random_weighted_assignment_instance", 1222, {"n": 4, "m": 8}, "f346d4bd7d4b4470"),
+    ("random_weighted_assignment_instance", 1460, {"n": 4, "m": 8}, "88758c9c04b939cc"),
+]
+
+
+def _rotating_instance(family, seed, kwargs):
+    return getattr(randgen, family)(random.Random(seed), **kwargs)
+
+
+@pytest.mark.parametrize("family,seed,kwargs,expected", _ROTATING)
+def test_envy_graph_baseline_rotation_is_pinned(family, seed, kwargs, expected):
+    inst = _rotating_instance(family, seed, kwargs)
+    alloc = envy_graph_baseline(inst)
+    text = "|".join("%s:%s" % (a, " ".join(inst.sorted_items(alloc.bundle(a))))
+                    for a in inst.agents)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected
+
+
+def test_pinned_baseline_draws_rotate_cycles(monkeypatch):
+    cycles = []
+    search = eit._shortest_envy_cycle
+
+    def recording(agents, edges):
+        cycles.append(search(agents, edges))
+        return cycles[-1]
+
+    monkeypatch.setattr(eit, "_shortest_envy_cycle", recording)
+    lengths = []
+    for family, seed, kwargs, _ in _ROTATING:
+        cycles.clear()
+        envy_graph_baseline(_rotating_instance(family, seed, kwargs))
+        assert cycles
+        lengths.extend(len(cycle) for cycle in cycles)
+    assert max(lengths) == 3
 
 
 def test_waste_counts_idle_items_wanted_elsewhere():

@@ -231,23 +231,36 @@ def _differential_cases():
 
 
 def test_exchange_graph_matches_reference_circuits(monkeypatch):
+    # The search never builds the graph, so each call is asked for its
+    # starts, its ends and the successors of every vertex while it runs:
+    # the successor closure reads the X of that augmentation only.  X is
+    # replayed from the returned paths.
+    search = matroid_intersection.shortest_path
     reached = []
-    build = matroid_intersection.build_exchange_graph
+    run = {}
 
-    def recording(instance, X, *args):
-        graph = build(instance, X, *args)
-        reached.append((instance, frozenset(X), graph))
-        return graph
+    def recording(starts, successors, is_end):
+        inst, X = run["instance"], run["X"]
+        starts = list(starts)
+        vertices = [(a, o) for a in inst.agents for o in inst.items]
+        reached.append((inst, X, tuple(starts),
+                        tuple(sorted(v for v in vertices if is_end(v))),
+                        {v: list(successors(v)) for v in vertices}))
+        path = search(starts, successors, is_end)
+        if path is not None:
+            run["X"] = X ^ frozenset(path)
+        return path
 
-    monkeypatch.setattr(matroid_intersection, "build_exchange_graph", recording)
+    monkeypatch.setattr(matroid_intersection, "shortest_path", recording)
     for inst in _differential_cases():
+        run.update(instance=inst, X=frozenset())
         try:
             max_common_independent_set(inst)
         except NonMatroidOracle:
             pass
     assert len(reached) > 40
-    for inst, X, graph in reached:
-        assert (graph.sources, graph.sinks, graph.arcs) == _reference_graph(inst, X)
+    for inst, X, sources, sinks, arcs in reached:
+        assert (sources, sinks, arcs) == _reference_graph(inst, X)
 
 
 def test_scale_oxs_welfare_equals_global_matching():
