@@ -245,13 +245,15 @@ def run_bench(corpus: RatingsCorpus, attribute: str, items_per_run: int,
         outcomes = {}
         for model in MODELS:
             instance = instances[model]
-            graph_allocation = envy_graph_baseline(instance)
-            outcomes[("envy-graph", model)] = _outcome(
-                "envy-graph", model, instance, graph_allocation, exhausted=False)
+            # the transfers start from the global optimum: both prices of
+            # fairness reuse its welfare
             general = eit_general(instance, budget=transfer_budget)
+            outcomes[("envy-graph", model)] = _outcome(
+                "envy-graph", model, instance, envy_graph_baseline(instance),
+                general.optimum, exhausted=False)
             outcomes[("eit-general", model)] = _outcome(
                 "eit-general", model, instance, general.allocation,
-                exhausted=general.exhausted)
+                general.optimum, exhausted=general.exhausted)
         run_results.append(BenchRun(index=index, seed=derived, items=sampled,
                                     group_sizes={agent: len(instances["ratings"].valuation(agent).members)
                                                  for agent in instances["ratings"].agents},
@@ -274,13 +276,13 @@ def run_bench(corpus: RatingsCorpus, attribute: str, items_per_run: int,
                        run_results=tuple(run_results), cells=cells)
 
 
-def _outcome(algorithm, model, instance, allocation, exhausted) -> RunOutcome:
+def _outcome(algorithm, model, instance, allocation, optimum, exhausted) -> RunOutcome:
     count, pct = waste(instance, allocation)
     usw = sum(instance.value(agent, allocation.bundle(agent))
               for agent in instance.agents)
     return RunOutcome(algorithm=algorithm, model=model, usw=usw,
                       waste_count=count, waste_pct=pct,
-                      pof=price_of_fairness(instance, allocation),
+                      pof=price_of_fairness(instance, allocation, optimum),
                       exhausted=exhausted)
 
 

@@ -68,7 +68,8 @@ def _instance_from(path: str) -> Instance:
     return parse_instance(load_path(path))
 
 
-def _solve_metrics(instance, allocation, algorithm, log, exhausted, side_files):
+def _solve_metrics(instance, allocation, algorithm, log, exhausted, side_files,
+                   optimum):
     vector = [instance.value(agent, allocation.bundle(agent))
               for agent in instance.agents]
     metrics = {
@@ -83,7 +84,7 @@ def _solve_metrics(instance, allocation, algorithm, log, exhausted, side_files):
         count, pct = waste(instance, allocation)
         metrics["waste_count"] = count
         metrics["waste_pct"] = _exact(pct)
-        metrics["pof"] = _exact(price_of_fairness(instance, allocation))
+        metrics["pof"] = _exact(price_of_fairness(instance, allocation, optimum))
     except InapplicableAlgorithm:
         metrics["waste_count"] = None
         metrics["waste_pct"] = None
@@ -100,13 +101,17 @@ def cmd_solve(args) -> int:
     log = None
     exhausted = False
     network = None
+    optimum = None  # the optimal welfare, when the solver has found it
     if args.algorithm == "usw-ef1":
         allocation, log = eit_ef1(instance)
     elif args.algorithm == "leximin-flow":
         allocation, network = leximin_flow_allocation(instance)
+        # a maximum flow: its total out-flow is the optimal welfare
+        optimum = sum(network.out_flows().values())
     elif args.algorithm == "eit-general":
         result = eit_general(instance, budget=args.budget)
         allocation, log, exhausted = result.allocation, result.log, result.exhausted
+        optimum = result.optimum
     else:
         allocation = envy_graph_baseline(instance)
 
@@ -125,7 +130,7 @@ def cmd_solve(args) -> int:
         side_files["network_dump"] = dump
 
     metrics = _solve_metrics(instance, allocation, args.algorithm, log,
-                             exhausted, side_files)
+                             exhausted, side_files, optimum)
     document = serialize_allocation(allocation, instance, metrics)
     if args.output:
         dump_path(document, args.output)

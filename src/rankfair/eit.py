@@ -160,6 +160,7 @@ class EitGeneralResult:
     log: TransferLog
     steps: int
     exhausted: bool  # True when the step budget ran out before EF1 held
+    optimum: object  # maximum utilitarian welfare, the start's welfare
 
 
 def _require_assignment(instance: Instance, what: str):
@@ -191,13 +192,17 @@ def _global_optimum_matching(instance: Instance):
     return max_weight_matching(list(instance.items), list(rows), weight)
 
 
-def initial_assignment_allocation(instance: Instance) -> Allocation:
-    """Clean utilitarian-optimal start: global matching, then cleaning."""
-    _, witness = _global_optimum_matching(instance)
+def initial_assignment_allocation(instance: Instance) -> tuple:
+    """Clean utilitarian-optimal start: global matching, then cleaning.
+
+    Returns (allocation, the matching's total weight): that total is the
+    maximum utilitarian welfare, and cleaning keeps it.
+    """
+    total, witness = _global_optimum_matching(instance)
     bundles = {a: set() for a in instance.agents}
     for item, (agent, _member) in witness.items():
         bundles[agent].add(item)
-    return clean(instance, Allocation.from_bundles(instance, bundles))
+    return clean(instance, Allocation.from_bundles(instance, bundles)), total
 
 
 def _unused_items(instance, valuation, bundle):
@@ -220,12 +225,14 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
 
     Termination is not guaranteed; after ``budget`` rounds (default
     10*m^2) the current allocation is returned with ``exhausted=True``.
+    The result carries the maximum utilitarian welfare, read off the global
+    matching of the start, so a price of fairness needs no second one.
     """
     _require_assignment(instance, "envy-induced transfers")
     m = instance.m
     if budget is None:
         budget = 10 * m * m
-    allocation = initial_assignment_allocation(instance)
+    allocation, optimum = initial_assignment_allocation(instance)
     log = TransferLog()
     steps = 0
 
@@ -297,9 +304,9 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
                         best_key = key
                         best_triple = (i, j, o)
         if best_triple is None:
-            return EitGeneralResult(allocation, log, steps, exhausted=False)
+            return EitGeneralResult(allocation, log, steps, False, optimum)
         if steps >= budget:
-            return EitGeneralResult(allocation, log, steps, exhausted=True)
+            return EitGeneralResult(allocation, log, steps, True, optimum)
         steps += 1
         i, j, o = best_triple
         before = phi()
@@ -439,13 +446,16 @@ def max_utilitarian_welfare(instance: Instance):
     return total
 
 
-def price_of_fairness(instance: Instance, allocation: Allocation):
+def price_of_fairness(instance: Instance, allocation: Allocation, optimum=None):
     """Optimal welfare divided by achieved welfare.
 
     Exact Fraction >= 1 normally; a positive optimum over zero achieved
-    welfare gives math.inf, and the 0/0 corner is defined as 1.
+    welfare gives math.inf, and the 0/0 corner is defined as 1.  Pass the
+    optimal welfare as ``optimum`` when a solver has found it already;
+    otherwise ``max_utilitarian_welfare`` computes it.
     """
-    optimum = max_utilitarian_welfare(instance)
+    if optimum is None:
+        optimum = max_utilitarian_welfare(instance)
     achieved = sum(values_vector(instance, allocation))
     if achieved == 0:
         return 1 if optimum == 0 else math.inf

@@ -132,7 +132,9 @@ def _pair_check(instance: Instance, allocation: Allocation, i: str, j: str) -> P
 
     ordered = instance.sorted_items(other_bundle)
     reduced = {o: instance.value(i, other_bundle - {o}) for o in ordered}
-    ef1, ef1_witness = ef1_pair(instance, allocation, i, j)
+    # ef1_pair's rule, read off ``reduced``
+    ef1_witness = next((o for o in ordered if own >= reduced[o]), None) if envious else None
+    ef1 = not envious or ef1_witness is not None
 
     efx0_violator = None
     for o in ordered:

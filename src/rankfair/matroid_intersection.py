@@ -36,26 +36,32 @@ def shortest_path(starts, successors, is_end):
     """Lexicographically least shortest path from a start to an end vertex.
 
     A FIFO breadth-first search from ``starts``; returns the vertex list
-    of the path to the first end vertex it dequeues, or None.  When
-    ``starts`` and every ``successors(v)`` come in ascending order, each
-    layer is dequeued in lexicographic order of its least shortest path,
-    so that first end closes the lexicographically least of all shortest
+    of the path to the first end vertex it reaches, or None.  The queue
+    dequeues vertices in the order it discovers them, so testing each
+    vertex on discovery finds the same end as testing it on dequeue,
+    without building the successor lists ahead of it.  When ``starts``
+    and every ``successors(v)`` come in ascending order, each layer is
+    discovered in lexicographic order of its least shortest path, so that
+    first end closes the lexicographically least of all shortest
     start-to-end paths.
     """
     parent = dict.fromkeys(starts)
     queue = deque(parent)
-    while queue:
+    end = next(filter(is_end, queue), None)
+    while end is None and queue:
         v = queue.popleft()
-        if is_end(v):
-            path = [v]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return path[::-1]
         for w in successors(v):
             if w not in parent:
                 parent[w] = v
                 queue.append(w)
-    return None
+                if is_end(w):
+                    end = w
+                    break
+    path = []
+    while end is not None:
+        path.append(end)
+        end = parent[end]
+    return path[::-1] or None
 
 
 def _bundles(instance: Instance, X) -> dict:

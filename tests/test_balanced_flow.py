@@ -9,10 +9,11 @@ from rankfair.balanced_flow import (balanced_max_flow, build_flow_network,
                                     flow_to_allocation, leximin_flow_allocation,
                                     network_dump)
 from rankfair.core import InapplicableAlgorithm, Instance, validate_allocation, values_vector
+from rankfair.eit import max_utilitarian_welfare
 from rankfair.oracle import oracle_optimal
 from rankfair.valuations import AssignmentValuation, BinaryAssignmentValuation
 
-from randgen import random_oxs_instance
+from randgen import random_oxs_instance, random_transversal
 
 
 def test_two_group_pinned_witness():
@@ -84,6 +85,23 @@ def test_flow_vector_equals_oracle_leximin_fuzz():
         out = network.out_flows()
         for agent in inst.agents:
             assert out.get(agent, 0) == inst.value(agent, alloc.bundle(agent))
+
+
+def test_total_out_flow_is_the_welfare_optimum():
+    """``solve leximin-flow`` reads its price of fairness off the flow."""
+    rng = random.Random(31337)
+    saturated = short = 0
+    for n, m in [(1, 3), (3, 7), (5, 14), (8, 32), (12, 64), (24, 20), (24, 150)] * 3:
+        items = tuple("o%d" % (k + 1) for k in range(m))
+        agents = tuple("g%d" % (k + 1) for k in range(n))
+        inst = Instance(agents=agents, items=items, valuations={
+            a: random_transversal(rng, a, items, density=0.3) for a in agents})
+        _, network = leximin_flow_allocation(inst)
+        total = sum(network.out_flows().values())
+        assert total == max_utilitarian_welfare(inst)
+        saturated += total == m
+        short += total < m
+    assert saturated >= 3 and short >= 3, (saturated, short)
 
 
 def test_network_dump_edge_list_format():

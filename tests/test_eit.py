@@ -124,6 +124,10 @@ def test_eit_general_fuzz_postconditions():
         count, pct = waste(inst, result.allocation)
         assert count == 0 and pct == 0
         assert price_of_fairness(inst, result.allocation) >= 1
+        # the start's welfare, reused by callers for the price of fairness
+        assert result.optimum == max_utilitarian_welfare(inst)
+        assert (price_of_fairness(inst, result.allocation, result.optimum)
+                == price_of_fairness(inst, result.allocation))
 
 
 def test_envy_graph_baseline_two_group():

@@ -181,6 +181,19 @@ def test_ef1_pair_reports_the_first_removal_in_index_order():
     assert ef1_pair(inst, alloc, "b", "a") == (True, None)
 
 
+def test_envy_report_agrees_with_ef1_pair_fuzz():
+    """The report reads EF1 off its own removals; it must keep ef1_pair's rule."""
+    rng = random.Random(6161)
+    seen = {"ef": 0, "ef1 by removal": 0, "not ef1": 0}
+    for _ in range(150):
+        inst = random_matroid_instance(rng)
+        alloc = random_allocation(rng, inst)
+        for (i, j), pair in envy_report(inst, alloc).pairs.items():
+            assert (pair.ef1, pair.ef1_witness) == ef1_pair(inst, alloc, i, j)
+            seen["ef" if pair.ef else "ef1 by removal" if pair.ef1 else "not ef1"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def test_full_report_sections():
     inst = fx.two_group_matching_instance()
     alloc = fx.balanced_split_allocation(inst)

@@ -108,12 +108,21 @@ def test_matches_reverse_bfs_extraction_on_random_digraphs():
     for _ in range(3000):
         vertices, sources, sinks, arcs = _random_graph(rng)
         ends = set(sinks)
-        path = shortest_path(sources, arcs.__getitem__, ends.__contains__)
+        expanded = []
+
+        def successors(v):
+            expanded.append(v)
+            return arcs[v]
+
+        path = shortest_path(sources, successors, ends.__contains__)
         assert path == _reverse_bfs_path(vertices, sources, sinks, arcs)
+        # ends are tested on discovery, so no end is ever expanded
+        assert ends.isdisjoint(expanded)
         shortest = _shortest_path_count(sources, arcs, ends)
         if shortest is None:
             seen["unreachable" if ends else "no end"] += 1
         elif shortest[0] == 0:
+            assert expanded == []
             seen["start is an end"] += 1
         elif shortest[1] > 1:
             seen["tie of %s paths" % ("long" if shortest[0] > 1 else "short")] += 1
@@ -121,6 +130,21 @@ def test_matches_reverse_bfs_extraction_on_random_digraphs():
             seen["not the least start"] += 1
     assert min(seen.values()) >= 30, seen
     assert len(seen) == 6, seen
+
+
+def test_a_start_that_is_an_end_needs_no_successors():
+    calls = []
+
+    def successors(v):
+        calls.append(v)
+        return [v + 1]
+
+    # the last start is the only end; the starts ahead of it are not expanded
+    assert shortest_path([0, 5, 9], successors, lambda v: v == 9) == [9]
+    assert calls == []
+    # an end one step away: only the starts ahead of it are expanded
+    assert shortest_path([0, 5], successors, lambda v: v == 6) == [5, 6]
+    assert calls == [0, 5]
 
 
 def test_matches_bfs_cycle_search_on_random_envy_graphs():
