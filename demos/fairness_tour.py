@@ -9,10 +9,25 @@ oracle to confirm that the outcome is leximin- and Nash-optimal.
 Run:  python3 demos/fairness_tour.py
 """
 
-from rankfair import (envy_report, eit_ef1, full_report,
-                      leximin_flow_allocation, max_common_independent_set,
-                      oracle_optimal, values_vector)
-from rankfair.fixtures import two_group_matching_instance
+from rankfair import (BinaryAssignmentValuation, Instance, envy_report,
+                      eit_ef1, full_report, leximin_flow_allocation,
+                      max_common_independent_set, oracle_optimal,
+                      values_vector)
+
+
+def two_group_matching_instance():
+    """Two groups of four members over six items; each member uses one item."""
+    g1 = BinaryAssignmentValuation(
+        {"a1": {"o1", "o6"}, "a2": {"o2", "o4"}, "a3": {"o3"}, "a4": {"o5"}}
+    )
+    g2 = BinaryAssignmentValuation(
+        {"b1": {"o3"}, "b2": {"o4"}, "b3": {"o5"}, "b4": {"o6"}}
+    )
+    return Instance(
+        agents=("g1", "g2"),
+        items=("o1", "o2", "o3", "o4", "o5", "o6"),
+        valuations={"g1": g1, "g2": g2},
+    )
 
 
 def show(title, instance, allocation):

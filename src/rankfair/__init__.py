@@ -10,15 +10,13 @@ valuations built from weighted matchings.
 
 from .core import (Allocation, AllocationError, BudgetExceeded,
                    InapplicableAlgorithm, Instance, NonMatroidOracle,
-                   TransferabilityViolated, ValuationVector, WelfareProfile,
-                   assert_valid, clean, format_exact, is_clean, is_complete,
-                   leximin_compare, marginal_gain, parse_exact, sorted_vector,
-                   validate_allocation, values_vector, welfare_profile)
+                   TransferabilityViolated, assert_valid, clean, format_exact,
+                   is_clean, is_complete, marginal_gain, parse_exact,
+                   validate_allocation, values_vector)
 from .valuations import (AllOrNothingValuation, AssignmentValuation,
                          BinaryAdditiveValuation, BinaryAssignmentValuation,
                          RankReport, ScaledValuation, TruncatedValuation,
-                         scale, spot_check_matroid_rank, truncate,
-                         verify_matroid_rank)
+                         spot_check_matroid_rank, verify_matroid_rank)
 from .fairness import (FairnessReport, MmsEntry, PairCheck, check_mms,
                        check_po_bruteforce, check_proportional, check_wprop1,
                        envy_report, full_report, min_eqc, mms_share)
@@ -41,15 +39,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "AllocationError", "BudgetExceeded", "InapplicableAlgorithm",
-    "Instance", "NonMatroidOracle", "TransferabilityViolated",
-    "ValuationVector", "WelfareProfile", "assert_valid", "clean",
-    "format_exact", "is_clean", "is_complete", "leximin_compare",
-    "marginal_gain", "parse_exact", "sorted_vector", "validate_allocation",
-    "values_vector", "welfare_profile",
+    "Instance", "NonMatroidOracle", "TransferabilityViolated", "assert_valid",
+    "clean", "format_exact", "is_clean", "is_complete", "marginal_gain",
+    "parse_exact", "validate_allocation", "values_vector",
     "AllOrNothingValuation", "AssignmentValuation", "BinaryAdditiveValuation",
     "BinaryAssignmentValuation", "RankReport", "ScaledValuation",
-    "TruncatedValuation", "scale", "spot_check_matroid_rank", "truncate",
-    "verify_matroid_rank",
+    "TruncatedValuation", "spot_check_matroid_rank", "verify_matroid_rank",
     "FairnessReport", "MmsEntry", "PairCheck", "check_mms",
     "check_po_bruteforce", "check_proportional", "check_wprop1",
     "envy_report", "full_report", "min_eqc", "mms_share",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .core import Allocation, AllocationError, InapplicableAlgorithm, Instance
-from .valuations import AssignmentValuation, BinaryAssignmentValuation
+from .valuations import AssignmentValuation
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,7 @@ def _adjacency(instance: Instance) -> dict:
     adj = {}
     for a in instance.agents:
         v = instance.valuation(a)
-        if isinstance(v, BinaryAssignmentValuation):
-            adj[a] = {mb: instance.sorted_items(v.adjacency[mb]) for mb in v.members}
-        elif isinstance(v, AssignmentValuation):
+        if isinstance(v, AssignmentValuation):
             rows = {}
             for mb in v.members:
                 for item, w in v.weights[mb].items():

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import inf
 from typing import Mapping, Optional, Sequence
 
-from .core import Instance, format_exact, parse_exact
+from .core import Instance, format_exact, parse_exact, values_vector
 from .documents import DocumentError
 from .eit import eit_general, envy_graph_baseline, price_of_fairness, waste
 from .valuations import AssignmentValuation
@@ -52,24 +52,18 @@ class RatingsCorpus:
     def items(self) -> tuple:
         return tuple(sorted({item for _, item, _ in self.ratings}))
 
-    def users(self) -> tuple:
-        return tuple(sorted(self.attributes))
 
+def _rows(path: str, delimiter: str, columns: Mapping, required: Sequence,
+          what: str):
+    """(line number, fields) for each non-blank line of a delimited file.
 
-def _split_row(line: str, delimiter: str, minimum: int, path: str, lineno: int):
-    fields = line.rstrip("\n").split(delimiter)
-    if len(fields) < minimum:
-        raise DocumentError("%s line %d: expected at least %d fields, got %d"
-                            % (path, lineno, minimum, len(fields)))
-    return fields
-
-
-def load_ratings(path: str, delimiter: str = LEGACY_DELIMITER,
-                 columns: Optional[Mapping] = None) -> list:
-    """Rows of (user, item, rating) with exact non-negative ratings."""
-    columns = dict(LEGACY_RATINGS_COLUMNS if columns is None else columns)
+    The column map must name every ``required`` column, and every row must
+    reach the map's highest column; both failures raise DocumentError.
+    """
+    for name in required:
+        if name not in columns:
+            raise DocumentError("%s column map needs a %r entry" % (what, name))
     needed = max(columns.values()) + 1
-    rows = []
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -78,16 +72,29 @@ def load_ratings(path: str, delimiter: str = LEGACY_DELIMITER,
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            fields = _split_row(line, delimiter, needed, path, lineno)
-            raw = fields[columns["rating"]]
-            try:
-                rating = parse_exact(raw)
-            except ValueError as exc:
-                raise DocumentError("%s line %d: %s" % (path, lineno, exc)) from exc
-            if rating < 0:
-                raise DocumentError("%s line %d: negative rating %s"
-                                    % (path, lineno, raw))
-            rows.append((fields[columns["user"]], fields[columns["item"]], rating))
+            fields = line.rstrip("\n").split(delimiter)
+            if len(fields) < needed:
+                raise DocumentError("%s line %d: expected at least %d fields, got %d"
+                                    % (path, lineno, needed, len(fields)))
+            yield lineno, fields
+
+
+def load_ratings(path: str, delimiter: str = LEGACY_DELIMITER,
+                 columns: Optional[Mapping] = None) -> list:
+    """Rows of (user, item, rating) with exact non-negative ratings."""
+    columns = dict(LEGACY_RATINGS_COLUMNS if columns is None else columns)
+    rows = []
+    for lineno, fields in _rows(path, delimiter, columns,
+                                ("user", "item", "rating"), "ratings"):
+        raw = fields[columns["rating"]]
+        try:
+            rating = parse_exact(raw)
+        except ValueError as exc:
+            raise DocumentError("%s line %d: %s" % (path, lineno, exc)) from exc
+        if rating < 0:
+            raise DocumentError("%s line %d: negative rating %s"
+                                % (path, lineno, raw))
+        rows.append((fields[columns["user"]], fields[columns["item"]], rating))
     return rows
 
 
@@ -95,22 +102,11 @@ def load_users(path: str, delimiter: str = LEGACY_DELIMITER,
                columns: Optional[Mapping] = None) -> dict:
     """user id -> {attribute name: value} for every non-user column."""
     columns = dict(LEGACY_USERS_COLUMNS if columns is None else columns)
-    if "user" not in columns:
-        raise DocumentError("users column map needs a 'user' entry")
-    needed = max(columns.values()) + 1
     users = {}
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = _split_row(line, delimiter, needed, path, lineno)
-            user = fields[columns["user"]]
-            users[user] = {name: fields[idx] for name, idx in columns.items()
-                           if name != "user"}
+    for _, fields in _rows(path, delimiter, columns, ("user",), "users"):
+        users[fields[columns["user"]]] = {name: fields[idx]
+                                          for name, idx in columns.items()
+                                          if name != "user"}
     return users
 
 
@@ -194,10 +190,8 @@ class RunOutcome:
 
 @dataclass(frozen=True)
 class BenchRun:
-    index: int
     seed: str
     items: tuple
-    group_sizes: Mapping
     outcomes: Mapping  # (algorithm, model) -> RunOutcome
 
 
@@ -228,6 +222,8 @@ def _run_seed(seed: int, index: int) -> str:
 def run_bench(corpus: RatingsCorpus, attribute: str, items_per_run: int,
               runs: int, seed: int, transfer_budget: Optional[int] = None) -> BenchReport:
     universe = corpus.items()
+    if items_per_run < 1:
+        raise DocumentError("items per run must be at least 1")
     if items_per_run > len(universe):
         raise DocumentError("cannot sample %d items from a corpus with %d"
                             % (items_per_run, len(universe)))
@@ -254,10 +250,7 @@ def run_bench(corpus: RatingsCorpus, attribute: str, items_per_run: int,
             outcomes[("eit-general", model)] = _outcome(
                 "eit-general", model, instance, general.allocation,
                 general.optimum, exhausted=general.exhausted)
-        run_results.append(BenchRun(index=index, seed=derived, items=sampled,
-                                    group_sizes={agent: len(instances["ratings"].valuation(agent).members)
-                                                 for agent in instances["ratings"].agents},
-                                    outcomes=outcomes))
+        run_results.append(BenchRun(seed=derived, items=sampled, outcomes=outcomes))
 
     cells = {}
     for algorithm in ALGORITHMS:
@@ -278,9 +271,8 @@ def run_bench(corpus: RatingsCorpus, attribute: str, items_per_run: int,
 
 def _outcome(algorithm, model, instance, allocation, optimum, exhausted) -> RunOutcome:
     count, pct = waste(instance, allocation)
-    usw = sum(instance.value(agent, allocation.bundle(agent))
-              for agent in instance.agents)
-    return RunOutcome(algorithm=algorithm, model=model, usw=usw,
+    return RunOutcome(algorithm=algorithm, model=model,
+                      usw=sum(values_vector(instance, allocation)),
                       waste_count=count, waste_pct=pct,
                       pof=price_of_fairness(instance, allocation, optimum),
                       exhausted=exhausted)

@@ -23,15 +23,17 @@ from .bench import (LEGACY_DELIMITER, LEGACY_RATINGS_COLUMNS, LEGACY_USERS_COLUM
                     render_text, run_bench)
 from .core import (ENUMERATION_BUDGET, Allocation, AllocationError, BudgetExceeded,
                    InapplicableAlgorithm, Instance, NonMatroidOracle,
-                   TransferabilityViolated, first_zero_marginal, format_exact)
+                   TransferabilityViolated, first_zero_marginal, format_exact,
+                   values_vector)
 from .documents import (DocumentError, dump_path, dumps, load_path,
                         parse_allocation, parse_instance, serialize_allocation)
 from .eit import (eit_ef1, eit_general, envy_graph_baseline, price_of_fairness,
                   waste)
 from .fairness import (check_mms, check_po_bruteforce, check_proportional,
                        check_wprop1, envy_report, first_ef1_violation, min_eqc)
-from .oracle import oracle_optimal
-from .valuations import EXHAUSTIVE_LIMIT, spot_check_matroid_rank, verify_matroid_rank
+from .oracle import oracle_optimal, sum_squares
+from .valuations import (EXHAUSTIVE_LIMIT, is_matroid_rank_family,
+                         spot_check_matroid_rank, verify_matroid_rank)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -70,14 +72,13 @@ def _instance_from(path: str) -> Instance:
 
 def _solve_metrics(instance, allocation, algorithm, log, exhausted, side_files,
                    optimum):
-    vector = [instance.value(agent, allocation.bundle(agent))
-              for agent in instance.agents]
+    vector = values_vector(instance, allocation)
     metrics = {
         "algorithm": algorithm,
         "usw": _exact(sum(vector)),
         "values": {agent: _exact(v) for agent, v in zip(instance.agents, vector)},
         "sorted_values": [_exact(v) for v in sorted(vector)],
-        "phi": _exact(sum(v * v for v in vector)),
+        "phi": _exact(sum_squares(vector)),
         "ef1": first_ef1_violation(instance, allocation) is None,
     }
     try:
@@ -96,20 +97,45 @@ def _solve_metrics(instance, allocation, algorithm, log, exhausted, side_files,
     return metrics
 
 
+def _require_matroid_rank(instance) -> None:
+    """Refuse an instance unless every valuation is a matroid rank function.
+
+    A valuation of a family that is matroid rank by construction passes on
+    its type alone; any other is verified exhaustively, which needs at most
+    EXHAUSTIVE_LIMIT items.
+    """
+    for agent in instance.agents:
+        valuation = instance.valuation(agent)
+        if is_matroid_rank_family(valuation):
+            continue
+        if instance.m > EXHAUSTIVE_LIMIT:
+            raise InapplicableAlgorithm(
+                "agent %r has a %s valuation, which is not matroid rank by "
+                "construction, and %d items are too many to verify (limit %d)"
+                % (agent, type(valuation).__name__, instance.m, EXHAUSTIVE_LIMIT))
+        report = verify_matroid_rank(valuation, instance.items)
+        if not report.ok:
+            raise InapplicableAlgorithm(
+                "valuation of agent %r is not a matroid rank function (%s fails)"
+                % (agent, report.axiom))
+
+
 def cmd_solve(args) -> int:
+    budget = _at_least("--budget", args.budget, 0)
     instance = _instance_from(args.input)
     log = None
     exhausted = False
     network = None
     optimum = None  # the optimal welfare, when the solver has found it
     if args.algorithm == "usw-ef1":
+        _require_matroid_rank(instance)
         allocation, log = eit_ef1(instance)
     elif args.algorithm == "leximin-flow":
         allocation, network = leximin_flow_allocation(instance)
         # a maximum flow: its total out-flow is the optimal welfare
         optimum = sum(network.out_flows().values())
     elif args.algorithm == "eit-general":
-        result = eit_general(instance, budget=args.budget)
+        result = eit_general(instance, budget=budget)
         allocation, log, exhausted = result.allocation, result.log, result.exhausted
         optimum = result.optimum
     else:
@@ -222,13 +248,17 @@ def _margin_witness(instance, margins) -> str:
     return ""
 
 
+def _at_least(flag: str, value, minimum: int):
+    """The value of a count flag, or None when absent; below ``minimum`` is a usage error."""
+    if value is not None and value < minimum:
+        raise DocumentError("%s must be at least %d, got %d" % (flag, minimum, value))
+    return value
+
+
 def _enumeration_budget(args) -> int:
-    """The --budget of an exhaustive command; below 1 is a usage error."""
-    if args.budget is None:
-        return ENUMERATION_BUDGET
-    if args.budget < 1:
-        raise DocumentError("--budget must be at least 1, got %d" % args.budget)
-    return args.budget
+    """The --budget of an exhaustive command, which is at least 1."""
+    budget = _at_least("--budget", args.budget, 1)
+    return ENUMERATION_BUDGET if budget is None else budget
 
 
 def cmd_check(args) -> int:
@@ -301,15 +331,15 @@ _WITNESS_KEY_ORDER = ("subset", "item", "context_item", "value", "size",
 
 
 def cmd_validate(args) -> int:
+    samples = _at_least("--spot-check", args.spot_check, 1)
     instance = _instance_from(args.input)
     items = instance.items
     rows = []
     failed = False
     for agent in instance.agents:
         valuation = instance.valuation(agent)
-        if args.spot_check:
-            report = spot_check_matroid_rank(valuation, items,
-                                             samples=args.spot_check,
+        if samples is not None:
+            report = spot_check_matroid_rank(valuation, items, samples=samples,
                                              seed=args.seed if args.seed is not None else 0)
             mode = "spot (non-conclusive)"
         else:
@@ -361,13 +391,14 @@ def _parse_column_map(spec: str) -> dict:
 
 
 def cmd_bench(args) -> int:
+    budget = _at_least("--budget", args.budget, 0)
     ratings = load_ratings(args.ratings, args.delimiter,
                            _parse_column_map(args.ratings_map))
     users = load_users(args.users, args.delimiter,
                        _parse_column_map(args.users_map))
     corpus = build_corpus(ratings, users)
     report = run_bench(corpus, args.attribute, args.items, args.runs, args.seed,
-                       transfer_budget=args.budget)
+                       transfer_budget=budget)
     if args.format == "machine":
         print(json.dumps(render_machine(report), indent=2))
     else:

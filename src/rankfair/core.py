@@ -1,4 +1,4 @@
-"""Domain model: instances, allocations, welfare profiles, cleaning, leximin.
+"""Domain model: instances, allocations, value vectors, cleaning, validation.
 
 Everything in this package is exact arithmetic (int or fractions.Fraction).
 Floats are deliberately never produced by any computation here: leximin and
@@ -12,10 +12,10 @@ tie-break refers to the position in the instance's agent/item ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 Value = "int | Fraction"
 
@@ -164,41 +164,6 @@ class Allocation:
             out |= b
         return frozenset(out)
 
-    def holder_of(self, item: str):
-        for a, b in self.bundles.items():
-            if item in b:
-                return a
-        return None
-
-
-@dataclass(frozen=True)
-class ValuationVector:
-    """Raw per-agent values (instance agent order) and their sorted view."""
-
-    raw: tuple
-    sorted: tuple
-
-    @staticmethod
-    def of(raw: Sequence) -> "ValuationVector":
-        raw = tuple(raw)
-        return ValuationVector(raw, tuple(sorted(raw)))
-
-
-@dataclass(frozen=True)
-class WelfareProfile:
-    """Utilitarian, egalitarian and Nash welfare of one allocation.
-
-    ``nash`` is the pair (support size, product over the support): Nash
-    welfare maximization first maximizes how many agents get positive value,
-    then the product over exactly those agents.  ``empty_support`` flags the
-    degenerate all-zero case, where the product is the empty product 1.
-    """
-
-    usw: "Value"
-    esw: "Value"
-    nash: tuple
-    empty_support: bool
-
 
 def marginal_gain(valuation, bundle, item: str) -> "Value":
     """Value added by ``item`` on top of ``bundle``.
@@ -217,51 +182,6 @@ def values_vector(instance: Instance, allocation: Allocation) -> tuple:
     return tuple(
         instance.value(a, allocation.bundle(a)) for a in instance.agents
     )
-
-
-def welfare_profile(instance: Instance, allocation: Allocation) -> WelfareProfile:
-    raw = values_vector(instance, allocation)
-    support = [v for v in raw if v > 0]
-    product = 1
-    for v in support:
-        product *= v
-    return WelfareProfile(
-        usw=sum(raw),
-        esw=min(raw) if raw else 0,
-        nash=(len(support), product),
-        empty_support=not support,
-    )
-
-
-def sorted_vector(instance: Instance, allocation: Allocation) -> ValuationVector:
-    return ValuationVector.of(values_vector(instance, allocation))
-
-
-def _as_sorted_tuple(vec) -> tuple:
-    if isinstance(vec, ValuationVector):
-        return vec.sorted
-    t = tuple(vec)
-    if any(t[k] > t[k + 1] for k in range(len(t) - 1)):
-        raise ValueError("leximin comparison requires sorted vectors")
-    return t
-
-
-def leximin_compare(left, right) -> int:
-    """Compare two sorted value vectors entry by entry from the smallest.
-
-    Returns -1, 0 or 1.  Accepts ValuationVector (its sorted view is used)
-    or an already-sorted sequence.  Vectors of different lengths are not
-    comparable and raise ValueError.
-    """
-    ls, rs = _as_sorted_tuple(left), _as_sorted_tuple(right)
-    if len(ls) != len(rs):
-        raise ValueError(f"vector length mismatch: {len(ls)} vs {len(rs)}")
-    for a, b in zip(ls, rs):
-        if a < b:
-            return -1
-        if a > b:
-            return 1
-    return 0
 
 
 def _zero_marginal_item(instance: Instance, agent: str, bundle: frozenset):

@@ -35,6 +35,7 @@ from .core import (
 from .fairness import ef1_pair, first_ef1_violation
 from .matching import max_cardinality_matching, max_weight_matching
 from .matroid_intersection import max_common_independent_set, shortest_path
+from .oracle import sum_squares
 from .valuations import AssignmentValuation
 
 WITHHELD = "-"  # stands in for the withheld pool in transfer logs
@@ -77,7 +78,7 @@ class TransferLog:
 
 def potential_phi(instance: Instance, allocation: Allocation):
     """Sum of squared bundle values; the termination potential for transfers."""
-    return sum(v * v for v in values_vector(instance, allocation))
+    return sum_squares(values_vector(instance, allocation))
 
 
 def find_transferable_item(

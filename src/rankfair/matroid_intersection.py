@@ -21,8 +21,9 @@ otherwise it has an arc to every (a, x) with x in A and v_a(A - x + o) =
 Only use this on instances whose valuations are matroid rank functions
 (binary-marginal, monotone, submodular); anything else either leaves an
 unclean bundle after an augmentation (raising NonMatroidOracle with the
-offending agent) or silently computes nonsense, which is why the CLI gates
-access behind declared families or an explicit verification pass.
+offending agent) or silently computes nonsense.  The CLI therefore admits
+a valuation only when ``valuations.is_matroid_rank_family`` vouches for it
+or ``verify_matroid_rank`` certifies it.
 """
 
 from __future__ import annotations

@@ -180,12 +180,20 @@ class AllOrNothingValuation:
         return 1 if self.required <= frozenset(bundle) else 0
 
 
-def truncate(valuation, cap: int) -> TruncatedValuation:
-    return TruncatedValuation(valuation, cap)
+def is_matroid_rank_family(valuation) -> bool:
+    """True for the families that are matroid rank functions by construction.
 
-
-def scale(valuation, lam) -> ScaledValuation:
-    return ScaledValuation(valuation, lam)
+    These are binary additive valuations, assignment valuations whose
+    weights are all 1 (transversal matroids) and truncations of either.
+    The answer comes from the valuation's type and stored weights alone,
+    without a value query.
+    """
+    while isinstance(valuation, TruncatedValuation):
+        valuation = valuation.inner
+    if isinstance(valuation, BinaryAdditiveValuation):
+        return True
+    return isinstance(valuation, AssignmentValuation) and all(
+        w == 1 for row in valuation.weights.values() for w in row.values())
 
 
 def subset_tables(valuations, items) -> tuple:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance
-from .valuations import (
+from rankfair.core import Allocation, Instance
+from rankfair.valuations import (
     AllOrNothingValuation,
     AssignmentValuation,
     BinaryAdditiveValuation,

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from rankfair.core import Allocation, Instance
 from rankfair.valuations import (AssignmentValuation, BinaryAdditiveValuation,
-                                 BinaryAssignmentValuation, truncate, scale)
+                                 BinaryAssignmentValuation, ScaledValuation,
+                                 TruncatedValuation)
 
 
 def _items(m):
@@ -41,7 +42,7 @@ def random_rank_valuation(rng, agent, items):
         inner = random_binary_additive(rng, items)
     else:
         inner = random_transversal(rng, agent, items)
-    return truncate(inner, rng.randint(1, max(1, len(items) - 1)))
+    return TruncatedValuation(inner, rng.randint(1, max(1, len(items) - 1)))
 
 
 def random_matroid_instance(rng, n=None, m=None) -> Instance:
@@ -84,7 +85,7 @@ def random_scaled_instance(rng, n=None, m=None) -> Instance:
             base = random_binary_additive(rng, items)
         else:
             base = random_transversal(rng, a, items)
-        vals[a] = scale(base, rng.choice(_LAMBDAS))
+        vals[a] = ScaledValuation(base, rng.choice(_LAMBDAS))
     return Instance(agents=agents, items=items, valuations=vals)
 
 

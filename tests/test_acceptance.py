@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 import rankfair
-from rankfair import fixtures
 from rankfair.balanced_flow import leximin_flow_allocation
 from rankfair.bench import build_corpus, group_instances, load_ratings, \
     load_users, run_bench
@@ -32,6 +31,7 @@ from rankfair.oracle import (enumerate_allocations, max_usw_value, nash_key,
                              oracle_optimal, verify_equivalences)
 from rankfair.valuations import verify_matroid_rank
 
+import fixtures
 from randgen import (random_binary_additive_instance, random_matroid_instance,
                      random_oxs_instance, random_scaled_instance)
 

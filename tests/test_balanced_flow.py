@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from rankfair import fixtures as fx
 from rankfair.balanced_flow import (balanced_max_flow, build_flow_network,
                                     flow_to_allocation, leximin_flow_allocation,
                                     network_dump)
@@ -13,6 +12,7 @@ from rankfair.eit import max_utilitarian_welfare
 from rankfair.oracle import oracle_optimal
 from rankfair.valuations import AssignmentValuation, BinaryAssignmentValuation
 
+import fixtures as fx
 from randgen import random_oxs_instance, random_transversal
 
 

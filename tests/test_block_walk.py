@@ -18,7 +18,6 @@ from itertools import product
 
 import pytest
 
-from rankfair import fixtures as fx
 from rankfair.core import Allocation, Instance, is_clean
 from rankfair.fairness import check_po_bruteforce, ef1_pair, mms_share
 from rankfair.oracle import (OBJECTIVES, _counts, _objective_key, _reported_optimum,
@@ -27,6 +26,7 @@ from rankfair.oracle import (OBJECTIVES, _counts, _objective_key, _reported_opti
                              usw_optimal_all_clean_complete, verify_equivalences)
 from rankfair.valuations import BinaryAdditiveValuation, ScaledValuation
 
+import fixtures as fx
 from randgen import random_matroid_instance, random_scaled_instance
 
 

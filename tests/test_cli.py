@@ -9,10 +9,11 @@ import pytest
 
 import rankfair
 
-from rankfair import fixtures
 from rankfair.cli import main
 from rankfair.documents import dump_path, load_path, serialize_allocation, \
     serialize_instance
+
+import fixtures
 
 
 def _write_instance(tmp_path, instance, name="instance.json"):
@@ -58,6 +59,72 @@ def test_solve_machine_payload(tmp_path, capsys):
     assert payload["metrics"]["algorithm"] == "usw-ef1"
     assert payload["metrics"]["ef1"] is True
     assert payload["metrics"]["usw"] == "4"
+
+
+def _document(tmp_path, agents, items=("o1", "o2"), name="instance.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema": 1, "items": list(items), "agents": [
+        {"id": agent, "valuation": valuation} for agent, valuation in agents]}))
+    return str(path)
+
+
+def _weights(member, weights):
+    return {"type": "assignment", "members": [{"id": member, "weights": weights}]}
+
+
+def _scaled(lam, approved):
+    return {"type": "scaled", "lambda": lam,
+            "inner": {"type": "binary_additive", "approved": approved}}
+
+
+@pytest.mark.parametrize("agents", [
+    # weights other than 1: gains are not binary (the optimum is 4, not 3)
+    [("a", _weights("a1", {"o1": "1", "o2": "2"})),
+     ("b", _weights("b1", {"o1": "1", "o2": "3"}))],
+    # all-or-nothing is not submodular, and a scale of 2 doubles every gain
+    [("a", {"type": "all_or_nothing", "required": ["o1", "o2"]}),
+     ("b", _scaled("2", ["o1", "o2"]))],
+])
+def test_solve_usw_ef1_refuses_non_rank_valuations(tmp_path, capsys, agents):
+    code = main(["solve", "--algorithm", "usw-ef1",
+                 "--input", _document(tmp_path, agents)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("inapplicable: valuation of agent 'a' is not a matroid rank")
+
+
+def test_solve_usw_ef1_verifies_a_unit_scale(tmp_path, capsys):
+    doc = _document(tmp_path, [("a", _scaled("1", ["o1", "o2"])),
+                               ("b", {"type": "binary_additive", "approved": ["o1"]})])
+    code = main(["solve", "--algorithm", "usw-ef1", "--input", doc,
+                 "--format", "machine"])
+    assert code == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["usw"] == "2" and metrics["ef1"] is True
+
+
+def test_solve_usw_ef1_past_the_verifier_limit(tmp_path, capsys):
+    items = ["o%d" % k for k in range(1, 17)]
+    declared = [
+        ("a", {"type": "binary_additive", "approved": items[:10]}),
+        ("b", {"type": "truncated", "cap": 3,
+               "inner": _weights("b1", {item: "1" for item in items[8:]})}),
+        ("c", {"type": "binary_assignment",
+               "members": [{"id": "c1", "adjacent": items[::2]},
+                           {"id": "c2", "adjacent": items[1::2]}]}),
+    ]
+    doc = _document(tmp_path, declared, items)
+    assert main(["solve", "--algorithm", "usw-ef1", "--input", doc,
+                 "--format", "machine"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    # a's ten approved items, b's one member and c's two: every agent full
+    assert metrics["usw"] == "13" and metrics["ef1"] is True
+    # a unit scale is matroid rank too, but 16 items are past the verifier
+    doc = _document(tmp_path, declared + [("d", _scaled("1", items))], items,
+                    name="scaled.json")
+    assert main(["solve", "--algorithm", "usw-ef1", "--input", doc]) == 2
+    assert "too many to verify" in capsys.readouterr().err
 
 
 def test_solve_leximin_flow_network_sidecar(tmp_path, capsys):
@@ -261,3 +328,28 @@ def test_bench_command(tmp_path, capsys, ratings_path, users_path):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["runs"] == 2 and len(payload["cells"]) == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--items", "-1"], "items per run must be at least 1"),
+    (["bench", "--items", "6", "--budget", "-1"], "--budget must be at least 0, got -1"),
+    (["bench", "--items", "6", "--ratings-map", "user=0,item=1"],
+     "ratings column map needs a 'rating' entry"),
+    (["bench", "--items", "6", "--ratings-map", ""],
+     "ratings column map needs a 'user' entry"),
+    (["validate", "--spot-check", "0"], "--spot-check must be at least 1, got 0"),
+    (["validate", "--spot-check", "-5"], "--spot-check must be at least 1, got -5"),
+    (["solve", "--algorithm", "eit-general", "--budget", "-1"],
+     "--budget must be at least 0, got -1"),
+], ids=["bench-items", "bench-budget", "ratings-map-no-rating", "ratings-map-empty",
+        "spot-check-zero", "spot-check-negative", "solve-budget"])
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, ratings_path,
+                                              users_path, argv, message):
+    if argv[0] == "bench":
+        argv = argv + ["--ratings", ratings_path, "--users", users_path,
+                       "--attribute", "gender", "--runs", "1", "--seed", "7"]
+    else:
+        argv = argv + ["--input",
+                       _write_instance(tmp_path, fixtures.usw_not_ef1_instance())]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)

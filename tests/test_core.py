@@ -5,9 +5,8 @@ import pytest
 
 from rankfair.core import (Allocation, AllocationError, Instance, clean,
                            first_zero_marginal, format_exact, is_clean, is_complete,
-                           leximin_compare, marginal_gain, parse_exact,
-                           sorted_vector, validate_allocation, values_vector,
-                           welfare_profile)
+                           marginal_gain, parse_exact, validate_allocation,
+                           values_vector)
 from rankfair.valuations import BinaryAdditiveValuation, BinaryAssignmentValuation
 
 from randgen import random_matroid_instance, random_allocation
@@ -45,31 +44,12 @@ def test_allocation_accessors():
     assert alloc.bundle("missing") == frozenset()
     assert alloc.withheld == frozenset({"z"})
     assert alloc.allocated_items() == frozenset({"x", "y"})
-    assert alloc.holder_of("y") == "b"
-    assert alloc.holder_of("z") is None
 
 
 def test_values_and_profiles():
     inst = tiny_instance()
     alloc = Allocation.from_bundles(inst, {"a": {"x", "y"}, "b": {"z"}})
     assert values_vector(inst, alloc) == (2, 1)
-    profile = welfare_profile(inst, alloc)
-    assert profile.usw == 3
-    assert profile.esw == 1
-    assert profile.nash == (2, 2)
-    assert not profile.empty_support
-    assert sorted_vector(inst, alloc).sorted == (1, 2)
-    assert sorted_vector(inst, alloc).raw == (2, 1)
-
-
-def test_leximin_compare_orders_sorted_tuples():
-    assert leximin_compare((1, 3), (2, 2)) < 0
-    assert leximin_compare((2, 2), (1, 3)) > 0
-    assert leximin_compare((0, 5), (0, 5)) == 0
-    with pytest.raises(ValueError):
-        leximin_compare((3, 1), (1, 3))
-    with pytest.raises(ValueError):
-        leximin_compare((1, 2), (1, 2, 3))
 
 
 def test_marginal_gain():

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from rankfair import fixtures as fx
 from rankfair.core import Allocation, Instance
 from rankfair.documents import (DocumentError, dumps, loads, parse_allocation,
                                 parse_instance, serialize_allocation,
                                 serialize_instance)
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
                                  BinaryAdditiveValuation,
-                                 BinaryAssignmentValuation, scale, truncate)
+                                 BinaryAssignmentValuation, ScaledValuation,
+                                 TruncatedValuation)
+
+import fixtures as fx
 
 
 ALL_FIXTURES = (
@@ -44,8 +46,8 @@ def test_mixed_descriptor_round_trip():
         agents=("p1", "p2", "p3", "p4"),
         items=items,
         valuations={
-            "p1": truncate(BinaryAdditiveValuation({"a", "b"}), 1),
-            "p2": scale(BinaryAssignmentValuation({"m": {"a"}}), Fraction(3, 2)),
+            "p1": TruncatedValuation(BinaryAdditiveValuation({"a", "b"}), 1),
+            "p2": ScaledValuation(BinaryAssignmentValuation({"m": {"a"}}), Fraction(3, 2)),
             "p3": AssignmentValuation(("m1",), {"m1": {"a": Fraction(1, 4), "c": 2}}),
             "p4": AllOrNothingValuation({"b", "c"}),
         },

@@ -6,7 +6,6 @@ from math import inf
 import pytest
 
 from rankfair import eit
-from rankfair import fixtures as fx
 from rankfair.core import (Allocation, AllocationError, InapplicableAlgorithm,
                            Instance, TransferabilityViolated, is_clean,
                            validate_allocation, values_vector)
@@ -18,6 +17,7 @@ from rankfair.fairness import envy_report
 from rankfair.oracle import max_usw_value
 from rankfair.valuations import BinaryAssignmentValuation
 
+import fixtures as fx
 import randgen
 from randgen import (random_matroid_instance, random_oxs_instance,
                      random_weighted_assignment_instance)

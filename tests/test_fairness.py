@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from rankfair import fixtures as fx
 from rankfair.core import Allocation, BudgetExceeded, Instance
 from rankfair.fairness import (check_mms, check_po_bruteforce,
                                check_proportional, check_wprop1, ef1_pair,
                                envy_report, full_report, min_eqc, mms_share)
 from rankfair.valuations import BinaryAdditiveValuation
 
+import fixtures as fx
 from randgen import random_matroid_instance, random_allocation
 
 

@@ -12,13 +12,13 @@ import hashlib
 import json
 import random
 
-from rankfair import fixtures
 from rankfair.cli import main
 from rankfair.core import Allocation, Instance
 from rankfair.eit import envy_graph_baseline
 from rankfair.documents import dump_path, serialize_allocation, serialize_instance
 from rankfair.valuations import AllOrNothingValuation
 
+import fixtures
 from randgen import (_agents, _items, random_allocation, random_matroid_instance,
                      random_rank_valuation, random_scaled_instance, random_transversal)
 

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from rankfair import fixtures as fx
 from rankfair import matroid_intersection
 from rankfair.core import (Instance, NonMatroidOracle, validate_allocation, values_vector,
                            is_clean)
 from rankfair.eit import eit_ef1, max_utilitarian_welfare
-from rankfair.fixtures import (nonsubmodular_pair_instance,
-                               two_group_matching_instance)
 from rankfair.matroid_intersection import max_common_independent_set
 from rankfair.oracle import max_usw_value
 
+import fixtures as fx
+from fixtures import (nonsubmodular_pair_instance,
+                      two_group_matching_instance)
 from randgen import (_agents, _items, random_binary_additive,
                      random_binary_additive_instance, random_matroid_instance,
                      random_oxs_instance, random_transversal)

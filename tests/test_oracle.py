@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from rankfair import fixtures as fx
 from rankfair.core import BudgetExceeded, Instance, values_vector
 from rankfair.fairness import mms_share
 from rankfair.oracle import (enumerate_allocations, iterated_power,
@@ -14,6 +13,7 @@ from rankfair.oracle import (enumerate_allocations, iterated_power,
                              verify_equivalences)
 from rankfair.valuations import BinaryAdditiveValuation
 
+import fixtures as fx
 from randgen import random_matroid_instance
 
 

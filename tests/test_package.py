@@ -1,0 +1,33 @@
+"""The package boundary: what ships under src/rankfair and what it exports."""
+
+import os
+import pkgutil
+import subprocess
+import sys
+import types
+
+import rankfair
+
+
+def test_every_module_is_reached_from_the_package_and_cli():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rankfair.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rankfair, rankfair.cli; "
+         "print(' '.join(sorted(m for m in sys.modules if m.startswith('rankfair.'))))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    shipped = {"rankfair." + info.name for info in pkgutil.iter_modules(rankfair.__path__)}
+    assert shipped - {"rankfair.__main__"} <= loaded
+
+
+def test_every_exported_name_is_bound():
+    assert [name for name in rankfair.__all__ if not hasattr(rankfair, name)] == []
+    assert len(set(rankfair.__all__)) == len(rankfair.__all__)
+
+
+def test_every_public_import_is_exported():
+    public = {name for name, value in vars(rankfair).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(rankfair.__all__)

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from rankfair.core import BudgetExceeded
-from rankfair.fixtures import nonsubmodular_pair_instance
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
                                  BinaryAdditiveValuation,
                                  BinaryAssignmentValuation, EXHAUSTIVE_LIMIT,
-                                 ScaledValuation, TruncatedValuation, scale,
-                                 spot_check_matroid_rank, truncate,
-                                 verify_matroid_rank)
+                                 ScaledValuation, TruncatedValuation,
+                                 is_matroid_rank_family,
+                                 spot_check_matroid_rank, verify_matroid_rank)
 
+from fixtures import nonsubmodular_pair_instance
 from randgen import random_transversal
 
 
@@ -116,12 +116,12 @@ def test_binary_assignment_is_transversal_rank():
 
 def test_truncation_caps_and_preserves_rank():
     inner = BinaryAdditiveValuation({"a", "b", "c"})
-    v = truncate(inner, 2)
+    v = TruncatedValuation(inner, 2)
     assert v.value({"a", "b", "c"}) == 2
     assert v.value({"a"}) == 1
     assert verify_matroid_rank(v, frozenset({"a", "b", "c"})).ok
     with pytest.raises(ValueError):
-        truncate(inner, -1)
+        TruncatedValuation(inner, -1)
     with pytest.raises(ValueError):
         TruncatedValuation(inner, True)
 
@@ -131,23 +131,39 @@ def test_truncated_transversal_stays_rank_fuzz():
     items = ("o1", "o2", "o3", "o4", "o5")
     for _ in range(40):
         base = random_transversal(rng, "g", items)
-        v = truncate(base, rng.randint(0, 4))
+        v = TruncatedValuation(base, rng.randint(0, 4))
         assert verify_matroid_rank(v, frozenset(items)).ok
 
 
 def test_scaling_leaves_rank_class_unless_unit():
     inner = BinaryAdditiveValuation({"a", "b"})
-    scaled = scale(inner, 3)
+    scaled = ScaledValuation(inner, 3)
     assert scaled.value({"a", "b"}) == 6
     report = verify_matroid_rank(scaled, frozenset({"a", "b"}))
     assert not report.ok and report.axiom == "binary marginals"
-    assert verify_matroid_rank(scale(inner, 1), frozenset({"a", "b"})).ok
-    half = scale(inner, Fraction(1, 2))
+    assert verify_matroid_rank(ScaledValuation(inner, 1), frozenset({"a", "b"})).ok
+    half = ScaledValuation(inner, Fraction(1, 2))
     assert half.value({"a"}) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        scale(inner, 0)
+        ScaledValuation(inner, 0)
     with pytest.raises(ValueError):
-        scale(inner, -2)
+        ScaledValuation(inner, -2)
+
+
+def test_matroid_rank_families_are_told_by_type():
+    additive = BinaryAdditiveValuation({"a", "b"})
+    transversal = BinaryAssignmentValuation({"m": {"a"}})
+    unit = AssignmentValuation(("m",), {"m": {"a": 1, "b": Fraction(1)}})
+    for valuation in (additive, transversal, unit,
+                      TruncatedValuation(unit, 1),
+                      TruncatedValuation(TruncatedValuation(additive, 2), 1)):
+        assert is_matroid_rank_family(valuation)
+    weighted = AssignmentValuation(("m",), {"m": {"a": 2, "b": 1}})
+    for valuation in (weighted, TruncatedValuation(weighted, 1),
+                      ScaledValuation(additive, 1), ScaledValuation(additive, 2),
+                      TruncatedValuation(ScaledValuation(additive, 1), 1),
+                      AllOrNothingValuation({"a", "b"})):
+        assert not is_matroid_rank_family(valuation)
 
 
 def test_all_or_nothing_values():
