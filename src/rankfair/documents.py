@@ -162,12 +162,13 @@ def parse_instance(data) -> Instance:
             raise DocumentError("each agent needs an id and a valuation descriptor")
         agent = entry["id"]
         ids.append(agent)
+        # validated first: _descriptor_items trusts the descriptor's shape
+        valuations[agent] = descriptor_to_valuation(
+            entry["valuation"], where="agent %r" % (agent,))
         stray = _descriptor_items(entry["valuation"]) - known
         if stray:
             raise DocumentError("agent %r references unknown items: %s"
                                 % (agent, ", ".join(sorted(stray))))
-        valuations[agent] = descriptor_to_valuation(
-            entry["valuation"], where="agent %r" % (agent,))
     try:
         return Instance(agents=tuple(ids), items=tuple(items), valuations=valuations)
     except ValueError as exc:

@@ -17,6 +17,9 @@ matroid is the direct sum of one clean-bundle matroid per agent, so only
 a's own bundle A takes part.  (a, o) is a sink when v_a(A + o) = |A| + 1;
 otherwise it has an arc to every (a, x) with x in A and v_a(A - x + o) =
 |A|.  That answer depends on (a, A) alone and is kept for the whole run.
+When a's valuation family knows its matroid (``exchange`` in
+``valuations``), the answer comes from that structure; otherwise it comes
+from value queries.
 
 Only use this on instances whose valuations are matroid rank functions
 (binary-marginal, monotone, submodular); anything else either leaves an
@@ -75,9 +78,16 @@ def _bundles(instance: Instance, X) -> dict:
 def _union_side(instance: Instance, agent: str, bundle: frozenset):
     """Union-side sinks and circuits of ``agent``'s pairs outside ``bundle``.
 
-    Returns (set of sink items, {item: sorted circuit items inside ``bundle``}).
+    Returns (set of sink items, {item: sorted circuit items inside ``bundle``}),
+    from the valuation's ``exchange`` query when it answers, and otherwise
+    from value queries.
     """
-    value = instance.valuation(agent).value
+    valuation = instance.valuation(agent)
+    exchange = getattr(valuation, "exchange", None)
+    answer = exchange and exchange(bundle, instance.items)
+    if answer is not None:
+        return answer
+    value = valuation.value
     size = len(bundle)
     sinks = set()
     circuits = {}

@@ -4,12 +4,20 @@ All families expose value(bundle) with exact results.  The assignment
 families additionally expose assignment_value(bundle), returning the value
 together with a deterministic witness matching of bundle items to members;
 the witness never pairs an item with a member that weights it zero.
+
+The families whose matroid is explicit (binary additive, transversal and
+truncations of either) also expose exchange(bundle, items): for a clean
+bundle A, the items o outside A with v(A + o) = |A| + 1 (sinks), and for
+every other o the sorted items x of A with v(A - x + o) = |A| (o's circuit
+in A + o, without o).  It reads both off the matroid's structure instead
+of asking value, and returns None when A is not clean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -37,6 +45,13 @@ class BinaryAdditiveValuation:
 
     def value(self, bundle) -> int:
         return len(self.approved & frozenset(bundle))
+
+    def exchange(self, bundle, items):
+        """Free matroid on the approved items: every circuit is a loop."""
+        if not self.approved >= bundle:
+            return None
+        return ({o for o in items if o in self.approved and o not in bundle},
+                {o: [] for o in items if o not in self.approved})
 
 
 class AssignmentValuation:
@@ -119,6 +134,60 @@ class BinaryAssignmentValuation(AssignmentValuation):
             self._cache[bundle] = hit
         return hit
 
+    @cached_property
+    def _members_of(self):
+        """item -> the members adjacent to it, in member order."""
+        index = {}
+        for member in self.members:
+            for item in self.adjacency[member]:
+                index.setdefault(item, []).append(member)
+        return index
+
+    def exchange(self, bundle, items):
+        """Sinks and circuits from alternating paths of A's witness matching.
+
+        A member is good if it is free, or if its item is adjacent to a good
+        member: then an alternating path frees it.  o is a sink iff it is
+        adjacent to a good member.  Otherwise every member adjacent to o is
+        matched, and o's circuit is the set of items reachable from those
+        members along alternating paths (member, its item, that item's
+        members, ...): exactly the x for which A - x + o has a matching.
+        """
+        witness = self.assignment_value(bundle)[1] if bundle else {}
+        if len(witness) != len(bundle):
+            return None
+        item_of = {member: item for item, member in witness.items()}
+        queue = [member for member in self.members if member not in item_of]
+        good = set(queue)
+        for member in queue:
+            for x in self.adjacency[member] & bundle:
+                if witness[x] not in good:
+                    good.add(witness[x])
+                    queue.append(witness[x])
+        reach = {}
+
+        def reachable(member):
+            if member not in reach:
+                found, stack = {item_of[member]}, [item_of[member]]
+                while stack:
+                    for other in self._members_of[stack.pop()]:
+                        if item_of[other] not in found:
+                            found.add(item_of[other])
+                            stack.append(item_of[other])
+                reach[member] = found
+            return reach[member]
+
+        sinks, circuits = set(), {}
+        for o in items:
+            if o in bundle:
+                continue
+            members = self._members_of.get(o, ())
+            if not good.isdisjoint(members):
+                sinks.add(o)
+            else:
+                circuits[o] = sorted(set().union(*map(reachable, members)))
+        return sinks, circuits
+
 
 @dataclass(frozen=True)
 class TruncatedValuation:
@@ -138,6 +207,18 @@ class TruncatedValuation:
 
     def value(self, bundle):
         return min(self.inner.value(frozenset(bundle)), self.cap)
+
+    def exchange(self, bundle, items):
+        """The inner answer below the cap; at the cap no item is a sink, and
+        an inner sink's circuit is all of A."""
+        exchange = getattr(self.inner, "exchange", None)
+        if exchange is None or len(bundle) > self.cap:
+            return None
+        answer = exchange(bundle, items)
+        if answer is None or len(bundle) < self.cap:
+            return answer
+        sinks, circuits = answer
+        return set(), {**circuits, **dict.fromkeys(sinks, sorted(bundle))}
 
 
 @dataclass(frozen=True)

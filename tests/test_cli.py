@@ -309,6 +309,28 @@ def test_parse_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _validate_agent_valuation(tmp_path, capsys, valuation):
+    doc = tmp_path / "instance.json"
+    doc.write_text(json.dumps({"schema": 1, "items": ["o1"], "agents": [
+        {"id": "a", "valuation": valuation}]}))
+    code = main(["validate", "--input", str(doc)])
+    return code, capsys.readouterr().err
+
+
+def test_members_object_is_a_document_error(tmp_path, capsys):
+    code, err = _validate_agent_valuation(tmp_path, capsys, {
+        "type": "binary_assignment", "members": {"c1": ["o1"]}})
+    assert code == 1
+    assert err.startswith("error: agent 'a' descriptor is malformed: ")
+    assert "Traceback" not in err
+
+
+def test_non_object_valuation_is_a_document_error(tmp_path, capsys):
+    code, err = _validate_agent_valuation(tmp_path, capsys, "x")
+    assert code == 1
+    assert err == "error: agent 'a' descriptor must be an object with a type\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["solve", "--algorithm", "usw-ef1"]) == 1
     assert main(["frobnicate"]) == 1
