@@ -344,6 +344,12 @@ def _shortest_envy_cycle(agents, edges):
     return best
 
 
+def _value_with(valuation, bundle, item):
+    """v(bundle + item); assignment valuations grow it off bundle's matching."""
+    grow = getattr(valuation, "value_with", None)
+    return valuation.value(bundle | {item}) if grow is None else grow(bundle, item)
+
+
 def envy_graph_baseline(instance: Instance) -> Allocation:
     """Greedy envy-graph procedure with the max-marginal-gain heuristic.
 
@@ -354,25 +360,29 @@ def envy_graph_baseline(instance: Instance) -> Allocation:
     on the cycle takes the bundle it envies) until someone is unenvied.
     The result is complete and EF1 for any monotone valuations; it carries
     no efficiency guarantee and can even miss Pareto optimality.
+
+    worth[i][j] holds v_i(bundle of j): a round values only the grown
+    bundle, under every valuation, and a rotation permutes the columns.
+    An agent's marginal gains are kept until its bundle changes.
     """
-    bundles = {a: frozenset() for a in instance.agents}
+    agents = instance.agents
+    bundles = {a: frozenset() for a in agents}
     remaining = list(instance.items)
+    worth = {}
+    for i in agents:
+        empty = instance.valuation(i).value(frozenset())
+        worth[i] = dict.fromkeys(agents, empty)
+    probes = {}  # agent -> (its bundle, {item: marginal gain on it})
 
     def envy_edges():
-        edges = {}
-        for i in instance.agents:
-            vi = instance.valuation(i)
-            mine = vi.value(bundles[i])
-            edges[i] = [
-                j for j in instance.agents if j != i and vi.value(bundles[j]) > mine
-            ]
-        return edges
+        return {i: [j for j in agents if j != i and worth[i][j] > worth[i][i]]
+                for i in agents}
 
     def unenvied_agents(edges):
         envied = set()
         for outs in edges.values():
             envied.update(outs)
-        return [a for a in instance.agents if a not in envied]
+        return [a for a in agents if a not in envied]
 
     max_rounds = len(remaining) * (instance.n**2 + 1) + instance.n**2
     for _round in range(max_rounds):
@@ -381,22 +391,30 @@ def envy_graph_baseline(instance: Instance) -> Allocation:
         edges = envy_edges()
         free = unenvied_agents(edges)
         if not free:
-            cycle = _shortest_envy_cycle(instance.agents, edges)
+            cycle = _shortest_envy_cycle(agents, edges)
             if cycle is None:
                 raise RuntimeError("every agent envied but the envy graph is acyclic")
-            old = {a: bundles[a] for a in cycle}
-            for idx, agent in enumerate(cycle):
-                bundles[agent] = old[cycle[(idx + 1) % len(cycle)]]
+            taken = {a: cycle[(idx + 1) % len(cycle)] for idx, a in enumerate(cycle)}
+            bundles.update({a: bundles[b] for a, b in taken.items()})
+            for row in worth.values():
+                row.update({a: row[b] for a, b in taken.items()})
             continue
         best = None
         for agent in free:
             v = instance.valuation(agent)
-            base = v.value(bundles[agent])
+            bundle = bundles[agent]
+            if agent not in probes or probes[agent][0] != bundle:
+                probes[agent] = (bundle, {})
+            gains = probes[agent][1]
             for item in remaining:
-                gain = v.value(bundles[agent] | {item}) - base
+                if item not in gains:
+                    gains[item] = _value_with(v, bundle, item) - worth[agent][agent]
+                gain = gains[item]
                 if best is None or gain > best[0]:
                     best = (gain, agent, item)
         _, agent, item = best
+        for i in agents:
+            worth[i][agent] = _value_with(instance.valuation(i), bundles[agent], item)
         bundles[agent] = bundles[agent] | {item}
         remaining.remove(item)
     if remaining:

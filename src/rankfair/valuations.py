@@ -11,6 +11,15 @@ bundle A, the items o outside A with v(A + o) = |A| + 1 (sinks), and for
 every other o the sorted items x of A with v(A - x + o) = |A| (o's circuit
 in A + o, without o).  It reads both off the matroid's structure instead
 of asking value, and returns None when A is not clean.
+
+Assignment valuations also expose value_with(bundle, item), the value of
+bundle + item found by one alternating-path search from item over bundle's
+maximum-weight matching, instead of a matching from scratch.  It takes that
+matching from a value-only store of the matchings value_with itself grew,
+else from the kernel's witness, and writes the grown one only to the store.
+Witnesses never come from the store: value() and assignment_value() read
+only the kernel's cache, so the matchings that waste accounting and the
+transfer heuristics see stay the kernel's.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
@@ -79,6 +89,7 @@ class AssignmentValuation:
             wt[member] = MappingProxyType(row)
         self.weights = MappingProxyType(wt)
         self._cache = {}
+        self._grown = {}  # value-only store: bundle -> (scaled total, matching)
 
     def __eq__(self, other):
         return (
@@ -106,6 +117,86 @@ class AssignmentValuation:
 
     def value(self, bundle):
         return self.assignment_value(bundle)[0]
+
+    @cached_property
+    def _edges(self):
+        """(scale, item -> {member: weight * scale}), members in order.
+
+        scale is the LCM of the weights' denominators, so every weight and
+        every matching value becomes an integer once multiplied by it.
+        """
+        scale = lcm(*(Fraction(w).denominator
+                      for row in self.weights.values() for w in row.values()))
+        edges = {}
+        for member in self.members:
+            for item, w in self.weights[member].items():
+                edges.setdefault(item, {})[member] = int(w * scale)
+        return scale, edges
+
+    def value_with(self, bundle, item):
+        """v(bundle + item), grown from a maximum-weight matching M of bundle.
+
+        v(A + o) = v(A) + max(0, g), where g is the best net gain of an
+        alternating path that starts at o: o to a member, that member's item
+        in M back off it, on to another member, and so on, ending at a free
+        member or by dropping an item.  Every other component of M xor M'
+        has zero gain, since M and M' are each optimal.  M is the kernel's
+        cached witness or a matching this method grew; the grown matching
+        of bundle + item goes into the value-only store.
+        """
+        bundle = frozenset(bundle)
+        grown = bundle | {item}
+        hit = self._cache.get(grown)
+        if hit is not None:
+            return hit[0]
+        scale, _ = self._edges
+        if grown not in self._grown:
+            hit = self._grown.get(bundle)
+            if hit is None:
+                value, witness = self.assignment_value(bundle)
+                hit = (int(value * scale), witness)
+            if item not in bundle:
+                hit = self._augment(*hit, item)
+            self._grown[grown] = hit
+        total = self._grown[grown][0]
+        return total // scale if total % scale == 0 else Fraction(total, scale)
+
+    def _augment(self, total, mates, item):
+        """(scaled total, matching) after the best alternating path from the
+        unmatched ``item``: one longest-path search, since M admits no
+        gainful alternating cycle.  The inputs when no path gains."""
+        _, edges = self._edges
+        holder = {member: x for x, member in mates.items()}
+        gain = {item: 0}  # item -> best gain of a path that frees it
+        reach, came = {}, {}  # member -> best gain of a path to it, its item
+        queue = [item]
+        for x in queue:
+            for member, w in edges.get(x, {}).items():
+                g = gain[x] + w
+                if member == mates.get(x) or (member in reach and reach[member] >= g):
+                    continue
+                reach[member], came[member] = g, x
+                if member in holder:
+                    y = holder[member]
+                    gain[y] = g - edges[y][member]
+                    queue.append(y)
+        best, end = 0, None  # a free end member, or the member that drops its item
+        for member, g in reach.items():
+            if member not in holder and g > best:
+                best, end = g, member
+        for y, g in gain.items():
+            if y != item and g > best:
+                best, end = g, mates[y]
+        if end is None:
+            return total, mates
+        grown = dict(mates)
+        if end in holder:
+            del grown[holder[end]]
+        x = None
+        while x != item:
+            x = came[end]
+            grown[x], end = end, mates.get(x)
+        return total + best, grown
 
 
 class BinaryAssignmentValuation(AssignmentValuation):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from rankfair.bench import (build_corpus, group_instances, load_ratings,
                             load_users, render_machine, render_text, run_bench)
+from rankfair.cli import main
 from rankfair.documents import DocumentError
 from rankfair.valuations import AssignmentValuation
 
@@ -87,6 +89,30 @@ def test_run_bench_is_bit_identical(ratings_path, users_path):
     assert render_text(first) == render_text(second)
     assert first.runs == 3 and first.group_count == 2
     assert len(first.run_results) == 3
+
+
+# SHA-256 of `bench --items 20 --runs 1 --format machine` on the bundled
+# corpus, recorded before the envy-graph baseline read bundle-plus-one values
+# off its valuations' matchings.
+_BENCH_PINS = [
+    ("occupation", 1, "1269dec8a09012b3e64f445971083cecc302bdef12ae449c02b1e1ad5e6d4735"),
+    ("occupation", 2, "e3f2b1808af6fe043c0f1798437542199cd7c57b61acff42e18a3009f153edd6"),
+    ("occupation", 3, "067c6bd4bd5301998c1bd7fb713e6453d3a3341679faa87207fb12daec419dbb"),
+    ("gender", 1, "b362da59ee1767ad0b3590dac5dc17581f18ce0dd25e02adad721c8a45067441"),
+    ("gender", 2, "886fcc798a509a6053fe4678ecfa60aad2b44a2d3d2b0f102e46777df528d4d8"),
+    ("gender", 3, "3b44883407e27b9becd748ea37f87ee396b05bd8e7fc4d25ae767b981ea1520a"),
+]
+
+
+@pytest.mark.parametrize("attribute,seed,expected", _BENCH_PINS)
+def test_bench_machine_output_is_pinned(capsys, ratings_path, users_path,
+                                        attribute, seed, expected):
+    code = main(["bench", "--ratings", ratings_path, "--users", users_path,
+                 "--attribute", attribute, "--items", "20", "--runs", "1",
+                 "--seed", str(seed), "--format", "machine"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_run_bench_cells_and_outcomes(ratings_path, users_path):

@@ -9,6 +9,7 @@ import pytest
 
 import rankfair
 
+from rankfair import cli
 from rankfair.cli import main
 from rankfair.documents import dump_path, load_path, serialize_allocation, \
     serialize_instance
@@ -335,6 +336,35 @@ def test_usage_error_exit_code(capsys):
     assert main(["solve", "--algorithm", "usw-ef1"]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch, ratings_path,
+                                users_path):
+    doc = _write_instance(tmp_path, fixtures.two_group_matching_instance())
+    argvs = [
+        ["solve", "--algorithm", "usw-ef1"],
+        ["solve", "--algorithm", "envy-graph", "--input", doc, "--format", "machine"],
+        ["bench", "--ratings", ratings_path, "--users", users_path,
+         "--attribute", "gender", "--items", "6", "--runs", "2", "--seed", "7"],
+    ]
+
+    def run_all():
+        outcomes = []
+        for argv in argvs:
+            code = main(argv)
+            outcomes.append((code,) + tuple(capsys.readouterr()))
+        return outcomes
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._shared_parser.cache_clear()
+    shared = run_all()
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_shared_parser", build)
+    assert run_all() == shared
+    assert [outcome[0] for outcome in shared] == [1, 0, 0]
+    assert shared[0][2].startswith("error: the following arguments are required")
 
 
 def test_bench_command(tmp_path, capsys, ratings_path, users_path):

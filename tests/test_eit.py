@@ -5,7 +5,7 @@ from math import inf
 
 import pytest
 
-from rankfair import eit
+from rankfair import eit, valuations
 from rankfair.core import (Allocation, AllocationError, InapplicableAlgorithm,
                            Instance, TransferabilityViolated, is_clean,
                            validate_allocation, values_vector)
@@ -174,13 +174,40 @@ def _rotating_instance(family, seed, kwargs):
     return getattr(randgen, family)(random.Random(seed), **kwargs)
 
 
+def _baseline_digest(inst, alloc):
+    text = "|".join("%s:%s" % (a, " ".join(inst.sorted_items(alloc.bundle(a))))
+                    for a in inst.agents)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("family,seed,kwargs,expected", _ROTATING)
 def test_envy_graph_baseline_rotation_is_pinned(family, seed, kwargs, expected):
     inst = _rotating_instance(family, seed, kwargs)
-    alloc = envy_graph_baseline(inst)
-    text = "|".join("%s:%s" % (a, " ".join(inst.sorted_items(alloc.bundle(a))))
-                    for a in inst.agents)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected
+    assert _baseline_digest(inst, envy_graph_baseline(inst)) == expected
+
+
+def test_envy_graph_baseline_matches_only_empty_bundles(monkeypatch):
+    """Bundle-plus-one values come off each valuation's matchings: the kernel
+    runs once per agent, on the empty bundle, and never on a probe."""
+    runs = []
+    kernel = valuations.max_weight_matching
+
+    def counting(items, members, weight):
+        runs.append((tuple(members), frozenset(items)))
+        return kernel(items, members, weight)
+
+    monkeypatch.setattr(valuations, "max_weight_matching", counting)
+    weighted = [case for case in _ROTATING
+                if case[0] == "random_weighted_assignment_instance"]
+    weighted.append(("random_weighted_assignment_instance", 7, {"n": 5, "m": 14}, None))
+    for family, seed, kwargs, expected in weighted:
+        runs.clear()
+        inst = _rotating_instance(family, seed, kwargs)
+        alloc = envy_graph_baseline(inst)
+        assert alloc.allocated_items() == frozenset(inst.items)
+        assert expected in (None, _baseline_digest(inst, alloc))
+        assert all(items == frozenset() for _, items in runs)
+        assert len(runs) == len(set(runs)) <= inst.n
 
 
 def test_pinned_baseline_draws_rotate_cycles(monkeypatch):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from rankfair import valuations
 from rankfair.core import BudgetExceeded
+from rankfair.matching import max_weight_matching
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
                                  BinaryAdditiveValuation,
                                  BinaryAssignmentValuation, EXHAUSTIVE_LIMIT,
-                                 ScaledValuation, TruncatedValuation,
+                                 ScaledValuation, TruncatedValuation, _norm,
                                  is_matroid_rank_family,
                                  spot_check_matroid_rank, verify_matroid_rank)
 
@@ -102,6 +104,74 @@ def test_assignment_witness_is_consistent_and_zero_free():
         for it, mb in witness.items():
             assert it in items
             assert v.weight(mb, it) > 0
+
+
+def _value_with_valuation(rng):
+    """A small assignment valuation over o0..o{m-1} for the value_with tests.
+
+    Weights come from a narrow range, so ties are common; half the draws use
+    Fractions, some members weight nothing, some items no member weights,
+    and one draw in six is a 0/1 adjacency (BinaryAssignmentValuation).
+    """
+    items = ["o%d" % k for k in range(rng.randint(1, 7))]
+    members = ["m%d" % k for k in range(rng.randint(0, 5))]
+    unweighted = set(rng.sample(items, rng.randint(0, len(items) // 2)))
+    rows = {mb: [it for it in items if it not in unweighted and rng.random() < 0.5]
+            for mb in members if rng.random() < 0.85}
+    if rng.random() < 1 / 6:
+        return items, BinaryAssignmentValuation(
+            {mb: set(rows.get(mb, ())) for mb in members})
+    fractional = rng.random() < 0.5
+
+    def draw():
+        w = rng.randint(1, 3)
+        return Fraction(w, rng.choice((1, 2, 3))) if fractional else w
+
+    return items, AssignmentValuation(
+        members, {mb: {it: draw() for it in row} for mb, row in rows.items()})
+
+
+def _kernel_value(valuation, bundle):
+    return _norm(max_weight_matching(sorted(bundle), valuation.members,
+                                     valuation.weight)[0])
+
+
+def test_value_with_matches_the_kernel(monkeypatch):
+    """Chains from a start bundle to the whole ground set, probing every item
+    at every step, run a matching on the start bundle alone."""
+    kernel_runs = []
+
+    def counting(kernel):
+        def run(items, *args):
+            kernel_runs.append(frozenset(items))
+            return kernel(items, *args)
+        return run
+
+    for name in ("max_weight_matching", "max_cardinality_matching"):
+        monkeypatch.setattr(valuations, name, counting(getattr(valuations, name)))
+    rng = random.Random(4242)
+    cases = 0
+    for _ in range(300):
+        items, v = _value_with_valuation(rng)
+        order = rng.sample(items, len(items))
+        bundle = start = frozenset(order[:rng.randint(0, len(items) - 1)])
+        cached = rng.random() < 0.5
+        if cached:
+            v.value(start)  # start from the kernel's cached witness
+        kernel_runs.clear()
+        for grow in order:
+            for o in items:
+                got = v.value_with(bundle, o)
+                want = _kernel_value(v, bundle | {o})
+                assert got == want and type(got) is type(want), (bundle, o)
+                cases += 1
+            bundle |= {grow}
+        assert kernel_runs == ([] if cached else [start])
+        if type(v) is AssignmentValuation:
+            # a bundle first reached through value_with gets the kernel's witness
+            total, witness = max_weight_matching(sorted(bundle), v.members, v.weight)
+            assert v.assignment_value(bundle) == (_norm(total), witness)
+    assert cases >= 2000
 
 
 def test_binary_assignment_is_transversal_rank():
