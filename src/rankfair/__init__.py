@@ -26,9 +26,7 @@ from .oracle import (EquivalenceReport, OracleResult, enumerate_allocations,
 from .eit import (EitGeneralResult, TransferLog, eit_ef1, eit_general,
                   envy_graph_baseline, max_utilitarian_welfare, potential_phi,
                   price_of_fairness, waste)
-from .balanced_flow import (balanced_max_flow, build_flow_network,
-                            flow_to_allocation, leximin_flow_allocation,
-                            network_dump)
+from .balanced_flow import leximin_flow_allocation, network_dump
 from .matroid_intersection import max_common_independent_set
 from .documents import (DocumentError, dump_path, dumps, load_path, loads,
                         parse_allocation, parse_instance, serialize_allocation,
@@ -54,7 +52,6 @@ __all__ = [
     "EitGeneralResult", "TransferLog", "eit_ef1", "eit_general",
     "envy_graph_baseline", "max_utilitarian_welfare", "potential_phi",
     "price_of_fairness", "waste",
-    "balanced_max_flow", "build_flow_network", "flow_to_allocation",
     "leximin_flow_allocation", "network_dump",
     "max_common_independent_set",
     "DocumentError", "dump_path", "dumps", "load_path", "loads",

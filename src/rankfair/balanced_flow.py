@@ -1,121 +1,84 @@
 """Leximin allocations for unit-weight assignment valuations via network flow.
 
-The instance becomes a four-layer unit-capacity network: source -> group ->
-member -> item -> sink, with a member-item arc exactly where the member is
-adjacent to the item.  Any integral maximum flow is a clean utilitarian
-optimal allocation (group h receives the items its members absorb, and the
-out-flow f(s,h) equals v_h(A_h)).  Among all maximum flows, the one whose
-out-flow vector is leximin-maximal is found by making the source arcs
-convex: the k-th unit entering group h costs 2k-1, so a flow of k units
-costs k^2, and a min-cost maximum flow minimizes the sum of squared
-out-flows, which picks the leximin (equivalently Nash-optimal) vector.
-
-Only the source arcs carry a cost, so every augmenting path costs the
-marginal 2f+1 of the group it leaves the source through.  Successive
-shortest paths then needs no shortest-path search: it augments from the
-least-loaded group that still reaches the sink, along the lexicographically
-least node-index path, which a depth-first search in ascending node order
-finds first.  Loads stay plain integers and the result is deterministic.
+The instance becomes a four-layer network: source -> group -> member ->
+item -> sink, with a member-item arc exactly where the member is adjacent to
+the item.  Any integral maximum flow is a clean utilitarian optimal
+allocation, and the out-flow f(s,h) equals v_h(A_h).  The maximum flow whose
+out-flow vector is leximin-maximal is the one that minimizes the sum of
+squared out-flows: the k-th unit into a group costs 2k-1.  No arc stores that
+cost; the convexity lives in the augmentation rule.  Every augmenting path
+costs the 2f+1 of the group it leaves the source through, so successive
+shortest paths augments from the least-loaded group that still reaches the
+sink, along the lexicographically least node-index path, which a depth-first
+search in ascending node order finds first.  The flow is solved on residual
+arrays built straight from the instance; the bundles and the dump are read
+off them, and the dump's cost column is a constant 0 kept for its format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import Allocation, AllocationError, InapplicableAlgorithm, Instance
 from .valuations import AssignmentValuation
 
 
 @dataclass(frozen=True)
-class FlowEdge:
-    tail: tuple
-    head: tuple
-    capacity: int
-    cost: int = 0
-    flow: int = 0
-
-
-@dataclass(frozen=True)
 class FlowNetwork:
-    """Edge list network; node names are structured tuples.
+    """A solved network as residual arrays; ``labels`` name the nodes.
 
-    ("s",) and ("t",) are the terminals, ("g", agent) the group layer,
-    ("m", agent, member) the member layer, ("o", item) the item layer.
+    Nodes are numbered source, groups, members, items, sink.  Arc 2k is the
+    k-th arc below the source and 2k+1 its reverse, so cap[2k+1] is its flow.
+    Each source arc has capacity ``source_capacity`` and carries its load.
     """
 
-    nodes: tuple
-    edges: tuple
-    source: tuple = ("s",)
-    sink: tuple = ("t",)
+    labels: tuple
+    head: tuple
+    cap: tuple
+    loads: dict  # agent -> flow on its source arc
+    source_capacity: int
 
     def out_flows(self) -> dict:
         """Flow leaving the source, keyed by agent."""
-        return {
-            e.head[1]: e.flow for e in self.edges if e.tail == self.source
-        }
-
-
-def _node_label(node: tuple) -> str:
-    return "/".join(str(part) for part in node)
+        return dict(self.loads)
 
 
 def network_dump(network: FlowNetwork) -> str:
-    """Tab-separated edge list: tail, head, capacity, cost, flow."""
+    """Tab-separated arc list: tail, head, capacity, cost, flow."""
+    labels, head, cap = network.labels, network.head, network.cap
     lines = ["tail\thead\tcapacity\tcost\tflow"]
-    for e in network.edges:
-        lines.append(
-            f"{_node_label(e.tail)}\t{_node_label(e.head)}\t{e.capacity}\t{e.cost}\t{e.flow}"
-        )
+    lines += [f"s\t{labels[g]}\t{network.source_capacity}\t0\t{load}"
+              for g, load in enumerate(network.loads.values(), 1)]
+    lines += [f"{labels[head[a + 1]]}\t{labels[head[a]]}\t{cap[a] + cap[a + 1]}\t0\t{cap[a + 1]}"
+              for a in range(0, len(head), 2)]
     return "\n".join(lines) + "\n"
 
 
-def _adjacency(instance: Instance) -> dict:
-    """agent -> member -> sorted item list; rejects non-unit weights."""
-    adj = {}
+def _members(instance: Instance) -> list:
+    """(agent, member, ascending indices of its items), in member-node order.
+
+    Items the instance does not hold are skipped; other weights must be 1.
+    """
+    index = instance.item_index
+    members = []
     for a in instance.agents:
         v = instance.valuation(a)
-        if isinstance(v, AssignmentValuation):
-            rows = {}
-            for mb in v.members:
-                for item, w in v.weights[mb].items():
-                    if w != 1:
-                        raise InapplicableAlgorithm(
-                            f"flow construction needs unit weights; agent {a!r} "
-                            f"member {mb!r} weighs {item!r} at {w}"
-                        )
-                rows[mb] = instance.sorted_items(v.weights[mb])
-            adj[a] = rows
-        else:
+        if not isinstance(v, AssignmentValuation):
             raise InapplicableAlgorithm(
                 f"flow construction needs assignment valuations; agent {a!r} "
                 f"has {type(v).__name__}"
             )
-    return adj
-
-
-def build_flow_network(instance: Instance) -> FlowNetwork:
-    """Zero-flow network for a unit-weight assignment instance."""
-    adj = _adjacency(instance)
-    m = instance.m
-    s, t = ("s",), ("t",)
-    nodes = [s]
-    edges = []
-    for a in instance.agents:
-        nodes.append(("g", a))
-        edges.append(FlowEdge(s, ("g", a), capacity=m))
-    for a in instance.agents:
-        for mb in instance.valuation(a).members:
-            nodes.append(("m", a, mb))
-            edges.append(FlowEdge(("g", a), ("m", a, mb), capacity=1))
-    for a in instance.agents:
-        for mb in instance.valuation(a).members:
-            for item in adj[a][mb]:
-                edges.append(FlowEdge(("m", a, mb), ("o", item), capacity=1))
-    for item in instance.items:
-        nodes.append(("o", item))
-        edges.append(FlowEdge(("o", item), t, capacity=1))
-    nodes.append(t)
-    return FlowNetwork(nodes=tuple(nodes), edges=tuple(edges))
+        for mb in v.members:
+            weights = v.weights[mb]
+            row = [item for item in weights if item in index]
+            for item in row:
+                if weights[item] != 1:
+                    raise InapplicableAlgorithm(
+                        f"flow construction needs unit weights; agent {a!r} "
+                        f"member {mb!r} weighs {item!r} at {weights[item]}"
+                    )
+            members.append((a, mb, sorted(index[item] for item in row)))
+    return members
 
 
 def _path_to_sink(start, sink, adj, head, cap, seen):
@@ -143,49 +106,51 @@ def _path_to_sink(start, sink, adj, head, cap, seen):
     return None
 
 
-def balanced_max_flow(network: FlowNetwork) -> FlowNetwork:
-    """Maximum flow whose source out-flow vector is leximin-maximal.
+def leximin_flow_allocation(instance: Instance) -> tuple:
+    """Build, solve and read back: returns (allocation, solved network).
 
-    Each augmentation starts from the least-loaded group with spare source
-    capacity that reaches the sink without the source (ties: lowest node
-    index), along the lexicographically least node-index path.  One visited
-    set serves every group of an augmentation: nothing reachable from a
-    group that failed reaches the sink.  Only source arcs may carry a cost
-    and each group has one of them, else ValueError.  Returns a copy of the
-    network with the ``flow`` fields filled in.
+    Each augmentation starts from the least-loaded group that reaches the
+    sink (ties: lowest node index).  One visited set serves every group of
+    an augmentation: nothing reachable from a group that failed reaches the
+    sink.  The source capacity m never binds: a group at load m holds every
+    item.  A group's out-flow must equal its realized value, else the solver
+    or the extraction is corrupt and AllocationError is raised.
     """
-    index = {node: k for k, node in enumerate(network.nodes)}
-    s, t = index[network.source], index[network.sink]
-    source_edge = {}  # group node -> position of its source arc
-    forward = {}  # position of any other edge -> its forward residual arc
-    head, cap = [], []  # residual arc pairs: 2k forward, 2k+1 backward
-    adj = [[] for _ in network.nodes]
-    for pos, e in enumerate(network.edges):
-        u, v = index[e.tail], index[e.head]
-        if u == s:
-            if v in source_edge:
-                raise ValueError(f"two source arcs into {_node_label(e.head)}")
-            source_edge[v] = pos
-            continue
-        if e.cost:
-            raise ValueError(f"arc {_node_label(e.tail)} -> {_node_label(e.head)} "
-                             f"costs {e.cost}; only source arcs may")
-        forward[pos] = len(head)
+    members = _members(instance)
+    n, items = instance.n, instance.items
+    first_item = 1 + n + len(members)
+    sink = first_item + len(items)
+    labels = (["s"] + [f"g/{a}" for a in instance.agents]
+              + [f"m/{a}/{mb}" for a, mb, _ in members]
+              + [f"o/{item}" for item in items] + ["t"])
+    head, cap = [], []
+    # Arcs are added tail layer by tail layer, heads ascending within a
+    # tail, so every adjacency list comes out ascending in head node.
+    adj = [[] for _ in labels]
+
+    def add_arc(u, v):
         adj[u].append(len(head))
         adj[v].append(len(head) + 1)
-        head += [v, u]
-        cap += [e.capacity, 0]
-    for out in adj:
-        out.sort(key=lambda a: (head[a], a))
-    load = dict.fromkeys(source_edge, 0)
+        head.extend((v, u))
+        cap.extend((1, 0))
+
+    groups = {a: g for g, a in enumerate(instance.agents, 1)}
+    for u, (a, _, _) in enumerate(members, n + 1):
+        add_arc(groups[a], u)
+    for u, (_, _, row) in enumerate(members, n + 1):
+        for k in row:
+            add_arc(u, first_item + k)
+    item_arcs_end = len(head)
+    for v in range(first_item, sink):
+        add_arc(v, sink)
+
+    load = [0] * (n + 1)  # by group node
     while True:
-        seen = [False] * len(network.nodes)
-        seen[s] = True
-        spare = [g for g in load if load[g] < network.edges[source_edge[g]].capacity]
-        for g in sorted(spare, key=lambda g: (load[g], g)):
+        seen = [False] * len(labels)
+        for g in sorted(groups.values(), key=lambda g: (load[g], g)):
             if not seen[g]:
                 seen[g] = True
-                arcs = [] if g == t else _path_to_sink(g, t, adj, head, cap, seen)
+                arcs = _path_to_sink(g, sink, adj, head, cap, seen)
                 if arcs is not None:
                     break
         else:
@@ -194,48 +159,19 @@ def balanced_max_flow(network: FlowNetwork) -> FlowNetwork:
         for a in arcs:
             cap[a] -= 1
             cap[a ^ 1] += 1
-    flows = {pos: load[g] for g, pos in source_edge.items()}
-    flows.update((pos, cap[a ^ 1]) for pos, a in forward.items())
-    flowed = tuple(replace(e, flow=flows[pos]) for pos, e in enumerate(network.edges))
-    return FlowNetwork(nodes=network.nodes, edges=flowed, source=network.source, sink=network.sink)
 
-
-def flow_to_allocation(network: FlowNetwork, instance: Instance) -> Allocation:
-    """Read the allocation off a flowed network.
-
-    Items whose member arc carries one unit go to that member's group; items
-    with no flow are withheld.  Zero total flow therefore withholds
-    everything.  Non-integral or over-unit flows are structural corruption
-    and raise ValueError.
-    """
-    bundles = {a: set() for a in instance.agents}
-    for e in network.edges:
-        if e.tail[0] == "m" and e.head[0] == "o":
-            if e.flow not in (0, 1):
-                raise ValueError(
-                    f"non-unit flow {e.flow!r} on arc {_node_label(e.tail)} -> "
-                    f"{_node_label(e.head)}"
-                )
-            if e.flow == 1:
-                bundles[e.tail[1]].add(e.head[1])
-    return Allocation.from_bundles(instance, bundles)
-
-
-def leximin_flow_allocation(instance: Instance) -> tuple:
-    """Build, solve and read back: returns (allocation, flowed network).
-
-    Sanity-checks that each group's source out-flow equals its realized
-    value under the extracted allocation; a mismatch means the solver or
-    the extraction is corrupt.
-    """
-    network = balanced_max_flow(build_flow_network(instance))
-    allocation = flow_to_allocation(network, instance)
-    out = network.out_flows()
+    bundles = {a: [] for a in instance.agents}
+    for a in range(2 * len(members), item_arcs_end, 2):
+        if cap[a + 1]:
+            bundles[members[head[a + 1] - n - 1][0]].append(items[head[a] - first_item])
+    allocation = Allocation.from_bundles(instance, bundles)
+    loads = {a: load[g] for a, g in groups.items()}
     for agent in instance.agents:
         realized = instance.value(agent, allocation.bundle(agent))
-        if out.get(agent, 0) != realized:
+        if loads[agent] != realized:
             raise AllocationError(
-                f"source out-flow {out.get(agent, 0)} of group {agent!r} "
+                f"source out-flow {loads[agent]} of group {agent!r} "
                 f"differs from its realized value {realized}"
             )
-    return allocation, network
+    return allocation, FlowNetwork(labels=tuple(labels), head=tuple(head), cap=tuple(cap),
+                                   loads=loads, source_capacity=instance.m)

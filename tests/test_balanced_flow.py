@@ -1,12 +1,9 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
-from rankfair.balanced_flow import (balanced_max_flow, build_flow_network,
-                                    flow_to_allocation, leximin_flow_allocation,
-                                    network_dump)
+from rankfair.balanced_flow import leximin_flow_allocation, network_dump
 from rankfair.core import InapplicableAlgorithm, Instance, validate_allocation, values_vector
 from rankfair.eit import max_utilitarian_welfare
 from rankfair.oracle import oracle_optimal
@@ -53,24 +50,70 @@ def test_non_binary_weights_are_refused():
     inst = fx.usw_not_ef1_instance()
     with pytest.raises(InapplicableAlgorithm):
         leximin_flow_allocation(inst)
-    with pytest.raises(InapplicableAlgorithm):
-        build_flow_network(inst)
 
 
-def test_priced_inner_arc_is_rejected():
-    network = build_flow_network(fx.two_group_matching_instance())
-    edges = list(network.edges)
-    k = next(k for k, e in enumerate(edges) if e.tail != network.source)
-    edges[k] = replace(edges[k], cost=1)
-    with pytest.raises(ValueError, match="only source arcs"):
-        balanced_max_flow(replace(network, edges=tuple(edges)))
+def _with_stray_entries(rng, inst):
+    """The same instance, its valuations naming items it does not hold."""
+    valuations = {}
+    for agent in inst.agents:
+        v = inst.valuation(agent)
+        weights = {mb: dict(v.weights[mb]) for mb in v.members}
+        for mb in v.members:
+            for k in range(rng.randint(0, 3)):
+                weights[mb]["zz%d" % k] = rng.choice((1, 1, 2))
+        valuations[agent] = AssignmentValuation(v.members, weights)
+    return Instance(agents=inst.agents, items=inst.items, valuations=valuations)
 
 
-def test_second_source_arc_into_a_group_is_rejected():
-    network = build_flow_network(fx.two_group_matching_instance())
-    doubled = network.edges + (network.edges[0],)
-    with pytest.raises(ValueError, match="two source arcs"):
-        balanced_max_flow(replace(network, edges=doubled))
+def test_adjacency_outside_the_instance_is_skipped():
+    bare = Instance(agents=("g1",), items=("o1",),
+                    valuations={"g1": BinaryAssignmentValuation({"m": {"o1"}})})
+    stray = Instance(agents=("g1",), items=("o1",),
+                     valuations={"g1": BinaryAssignmentValuation({"m": {"o1", "zz"}})})
+    pairs = [(stray, bare)]
+    rng = random.Random(5150)
+    for _ in range(40):
+        inst = random_oxs_instance(rng, n_max=4, m_max=10)
+        pairs.append((_with_stray_entries(rng, inst), inst))
+    for with_stray, without in pairs:
+        got, got_network = leximin_flow_allocation(with_stray)
+        want, want_network = leximin_flow_allocation(without)
+        assert (got.bundles, got.withheld) == (want.bundles, want.withheld)
+        assert network_dump(got_network) == network_dump(want_network)
+
+
+def _dump_invariant_cases():
+    yield from _pinned_flow_cases()
+    rng = random.Random(8080)
+    for _ in range(60):
+        n, m = rng.randint(1, 10), rng.randint(1, 40)
+        items = tuple("o%d" % (k + 1) for k in range(m))
+        agents = tuple("g%d" % (k + 1) for k in range(n))
+        yield Instance(agents=agents, items=items, valuations={
+            a: random_transversal(rng, a, items, density=rng.choice((0.1, 0.3, 0.6)))
+            for a in agents})
+
+
+def test_dump_rows_are_a_feasible_flow():
+    """Read off the dump text alone: bounds, zero costs, conservation, out-flows."""
+    for inst in _dump_invariant_cases():
+        alloc, network = leximin_flow_allocation(inst)
+        lines = network_dump(network).splitlines()
+        assert lines[0] == "tail\thead\tcapacity\tcost\tflow"
+        balance = {}
+        source = {}
+        for line in lines[1:]:
+            tail, head, capacity, cost, flow = line.split("\t")
+            capacity, cost, flow = int(capacity), int(cost), int(flow)
+            assert 0 <= flow <= capacity and cost == 0, line
+            balance[tail] = balance.get(tail, 0) - flow
+            balance[head] = balance.get(head, 0) + flow
+            if tail == "s":
+                source[head] = flow
+        assert {node: net for node, net in balance.items()
+                if node not in ("s", "t") and net} == {}
+        assert source == {"g/%s" % a: f for a, f in network.out_flows().items()}
+        assert source == {"g/%s" % a: inst.value(a, alloc.bundle(a)) for a in inst.agents}
 
 
 def test_flow_vector_equals_oracle_leximin_fuzz():

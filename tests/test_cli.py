@@ -1,7 +1,9 @@
 """End-to-end CLI coverage through main(), one test per exit path."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,10 +13,12 @@ import rankfair
 
 from rankfair import cli
 from rankfair.cli import main
+from rankfair.core import Instance
 from rankfair.documents import dump_path, load_path, serialize_allocation, \
     serialize_instance
 
 import fixtures
+from randgen import random_transversal
 
 
 def _write_instance(tmp_path, instance, name="instance.json"):
@@ -136,6 +140,45 @@ def test_solve_leximin_flow_network_sidecar(tmp_path, capsys):
     assert code == 0
     sidecar = tmp_path / "flow.json.network.tsv"
     assert sidecar.read_text().startswith("tail\thead\tcapacity\tcost\tflow")
+
+
+# SHA-256 of `solve --algorithm leximin-flow --output F --format machine` on
+# seeded (0,1)-OXS instances (at most four members, edge density 0.3): of
+# stdout, which F repeats byte for byte, and of F.network.tsv.  Recorded while
+# the flow was still solved on a generic edge-list network.
+_FLOW_CLI_PINS = [
+    (12, 64, 1, "3a1564108700cb116f18c12ca317938c3602bafa66af8a203b2bf659ac42c933",
+     "f070c08bf3361198561265a05034f58227bb0e1afc06265e0f6efac0fd699f48"),
+    (12, 64, 2, "98061e8f1653c33407ddf15d04dfe3fd71b9eb0d42a63521d9694fe4371591bf",
+     "98efca5045c8411c9f6241d79e649455bb2c7b469952940a7dd34ba35990bff0"),
+    (12, 64, 3, "642d12f35ee32ac11742263897113e8850eba7dc0c6b820b110de650f5b9658c",
+     "e88626c98b20db13d51dced321ed018c640d843975231e194a16043767701e1c"),
+    (24, 150, 1, "f3fbba1c7045056d31bdfa16e2c2aa8e9d0f4c1a7e086a3964856b099ebc7e6f",
+     "3e44eae41cb2f9aabc07ab5643844ffb88c3fc72302f03604c2036d6801a4e90"),
+    (24, 150, 2, "242d7dca1a7fb9515d2bddf8bd08e38212cc4e05cc9e60c5edaccf9207dc1290",
+     "3a78fcf0ae78bfaa704859c5693ec324e6b24a75e87cf29c033800784d20ee5b"),
+]
+
+
+@pytest.mark.parametrize("n,m,seed,document_sha,dump_sha", _FLOW_CLI_PINS)
+def test_solve_leximin_flow_is_pinned_at_scale(tmp_path, capsys, monkeypatch,
+                                               n, m, seed, document_sha, dump_sha):
+    rng = random.Random(seed)
+    items = tuple("o%d" % (k + 1) for k in range(m))
+    agents = tuple("g%d" % (k + 1) for k in range(n))
+    instance = Instance(agents=agents, items=items, valuations={
+        a: random_transversal(rng, a, items, density=0.3) for a in agents})
+    # relative paths: the side file's path is part of the document
+    monkeypatch.chdir(tmp_path)
+    _write_instance(tmp_path, instance)
+    code = main(["solve", "--algorithm", "leximin-flow", "--input", "instance.json",
+                 "--output", "flow.json", "--format", "machine"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert (tmp_path / "flow.json").read_text() == out
+    assert hashlib.sha256(out.encode()).hexdigest() == document_sha
+    dump = (tmp_path / "flow.json.network.tsv").read_bytes()
+    assert hashlib.sha256(dump).hexdigest() == dump_sha
 
 
 def test_solve_leximin_flow_refuses_weighted(tmp_path, capsys):
