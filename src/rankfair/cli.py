@@ -24,14 +24,14 @@ from .bench import (LEGACY_DELIMITER, LEGACY_RATINGS_COLUMNS, LEGACY_USERS_COLUM
                     render_text, run_bench)
 from .core import (ENUMERATION_BUDGET, Allocation, AllocationError, BudgetExceeded,
                    InapplicableAlgorithm, Instance, NonMatroidOracle,
-                   TransferabilityViolated, first_zero_marginal, format_exact,
-                   values_vector)
+                   TransferabilityViolated, first_ef1_violation, first_zero_marginal,
+                   format_exact, values_vector)
 from .documents import (DocumentError, dump_path, dumps, load_path,
                         parse_allocation, parse_instance, serialize_allocation)
 from .eit import (eit_ef1, eit_general, envy_graph_baseline, price_of_fairness,
                   waste)
 from .fairness import (check_mms, check_po_bruteforce, check_proportional,
-                       check_wprop1, envy_report, first_ef1_violation, min_eqc)
+                       check_wprop1, envy_report, min_eqc)
 from .oracle import oracle_optimal, sum_squares
 from .valuations import (EXHAUSTIVE_LIMIT, is_matroid_rank_family,
                          spot_check_matroid_rank, verify_matroid_rank)
@@ -187,9 +187,10 @@ def cmd_solve(args) -> int:
 
 
 def _first_failing_pair(report, flag):
-    for pair in sorted(report.pairs):
-        if not getattr(report.pairs[pair], flag):
-            return pair, report.pairs[pair]
+    """The first pair failing ``flag``, in the report's (instance) order."""
+    for pair, check in report.pairs.items():
+        if not getattr(check, flag):
+            return pair, check
     return None, None
 
 

@@ -1,5 +1,11 @@
 """Domain model: instances, allocations, value vectors, cleaning, validation.
 
+The per-bundle allocation predicates live here, each defined once:
+``first_zero_marginal`` (cleanliness) and ``ef1_pair`` with
+``first_ef1_violation`` (envy-freeness up to one item).  Both report the
+first violation in index order; the solvers, the checkers and the
+enumeration oracle all take their verdicts from them.
+
 Everything in this package is exact arithmetic (int or fractions.Fraction).
 Floats are deliberately never produced by any computation here: leximin and
 Nash comparisons are exact statements and rounding would corrupt them.
@@ -223,6 +229,35 @@ def first_zero_marginal(instance: Instance, allocation: Allocation):
         item = _zero_marginal_item(instance, agent, allocation.bundle(agent))
         if item is not None:
             return agent, item
+    return None
+
+
+def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tuple:
+    """(ok, item): whether agent i is envy-free of j up to one item.
+
+    i passes when it does not envy j (item None), or when removing some item
+    of A_j ends the envy; item is then the first such item in index order.
+    """
+    valuation = instance.valuation(i)
+    own = valuation.value(allocation.bundle(i))
+    theirs = allocation.bundle(j)
+    if own >= valuation.value(theirs):
+        return True, None
+    for o in instance.sorted_items(theirs):
+        if own >= valuation.value(theirs - {o}):
+            return True, o
+    return False, None
+
+
+def first_ef1_violation(instance: Instance, allocation: Allocation):
+    """First ordered pair (i, j), in instance order, where i is not EF1 of j.
+
+    None when the allocation is EF1.
+    """
+    for i in instance.agents:
+        for j in instance.agents:
+            if i != j and not ef1_pair(instance, allocation, i, j)[0]:
+                return i, j
     return None
 
 

@@ -73,35 +73,56 @@ def valuation_to_descriptor(valuation) -> dict:
                         % (type(valuation).__name__,))
 
 
-def descriptor_to_valuation(descriptor: Mapping, where: str = "valuation"):
+def _identifiers(value, what: str) -> frozenset:
+    """A list of string identifiers as a frozenset; any other value is a DocumentError."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise DocumentError("%s must be a list of string identifiers" % what)
+    return frozenset(value)
+
+
+def descriptor_to_valuation(descriptor: Mapping, where: str, referenced: set):
+    """The valuation a descriptor describes; its item identifiers join ``referenced``."""
     if not isinstance(descriptor, Mapping) or "type" not in descriptor:
         raise DocumentError("%s descriptor must be an object with a type" % where)
+
+    def items(value, key):
+        found = _identifiers(value, "%s %s" % (where, key))
+        referenced.update(found)
+        return found
+
     kind = descriptor["type"]
     try:
         if kind == "binary_additive":
-            return BinaryAdditiveValuation(frozenset(descriptor["approved"]))
+            return BinaryAdditiveValuation(items(descriptor["approved"], "approved"))
         if kind == "binary_assignment":
-            adjacency = {entry["id"]: frozenset(entry["adjacent"])
-                         for entry in descriptor["members"]}
-            return BinaryAssignmentValuation(adjacency)
+            adjacency = [(entry["id"], items(entry["adjacent"], "adjacent"))
+                         for entry in descriptor["members"]]
+            if len(dict(adjacency)) != len(adjacency):
+                raise ValueError("duplicate member identifiers")
+            return BinaryAssignmentValuation(dict(adjacency))
         if kind == "assignment":
             members = [entry["id"] for entry in descriptor["members"]]
-            weights = {entry["id"]: {item: _exact_in(w, "%s weight %s" % (where, item))
-                                     for item, w in entry["weights"].items()}
-                       for entry in descriptor["members"]}
+            weights = {}
+            for entry in descriptor["members"]:
+                row = entry["weights"]
+                if not isinstance(row, Mapping):
+                    raise DocumentError("%s weights must be an object" % where)
+                items(list(row), "weights")
+                weights[entry["id"]] = {item: _exact_in(w, "%s weight %s" % (where, item))
+                                        for item, w in row.items()}
             return AssignmentValuation(members, weights)
         if kind == "truncated":
             cap = descriptor["cap"]
             if not isinstance(cap, int) or isinstance(cap, bool):
                 raise DocumentError("%s cap must be an integer" % where)
             return TruncatedValuation(
-                descriptor_to_valuation(descriptor["inner"], where), cap)
+                descriptor_to_valuation(descriptor["inner"], where, referenced), cap)
         if kind == "scaled":
             lam = _exact_in(descriptor["lambda"], "%s lambda" % where)
             return ScaledValuation(
-                descriptor_to_valuation(descriptor["inner"], where), lam)
+                descriptor_to_valuation(descriptor["inner"], where, referenced), lam)
         if kind == "all_or_nothing":
-            return AllOrNothingValuation(frozenset(descriptor["required"]))
+            return AllOrNothingValuation(items(descriptor["required"], "required"))
     except DocumentError:
         raise
     except (KeyError, TypeError) as exc:
@@ -109,27 +130,6 @@ def descriptor_to_valuation(descriptor: Mapping, where: str = "valuation"):
     except ValueError as exc:
         raise DocumentError("%s: %s" % (where, exc)) from exc
     raise DocumentError("%s has unknown valuation type %r" % (where, kind))
-
-
-def _descriptor_items(descriptor: Mapping):
-    kind = descriptor.get("type")
-    if kind == "binary_additive":
-        return set(descriptor.get("approved", ()))
-    if kind == "binary_assignment":
-        out = set()
-        for entry in descriptor.get("members", ()):
-            out |= set(entry.get("adjacent", ()))
-        return out
-    if kind == "assignment":
-        out = set()
-        for entry in descriptor.get("members", ()):
-            out |= set(entry.get("weights", {}))
-        return out
-    if kind in ("truncated", "scaled"):
-        return _descriptor_items(descriptor.get("inner", {}))
-    if kind == "all_or_nothing":
-        return set(descriptor.get("required", ()))
-    return set()
 
 
 def serialize_instance(instance: Instance) -> dict:
@@ -161,11 +161,13 @@ def parse_instance(data) -> Instance:
         if not isinstance(entry, Mapping) or "id" not in entry or "valuation" not in entry:
             raise DocumentError("each agent needs an id and a valuation descriptor")
         agent = entry["id"]
+        if not isinstance(agent, str):
+            raise DocumentError("agent id %r is not a string identifier" % (agent,))
         ids.append(agent)
-        # validated first: _descriptor_items trusts the descriptor's shape
+        referenced = set()
         valuations[agent] = descriptor_to_valuation(
-            entry["valuation"], where="agent %r" % (agent,))
-        stray = _descriptor_items(entry["valuation"]) - known
+            entry["valuation"], "agent %r" % (agent,), referenced)
+        stray = referenced - known
         if stray:
             raise DocumentError("agent %r references unknown items: %s"
                                 % (agent, ", ".join(sorted(stray))))
@@ -201,19 +203,22 @@ def parse_allocation(data, instance: Instance) -> Allocation:
     if stray_agents:
         raise DocumentError("unknown agents in allocation: %s"
                             % (", ".join(sorted(stray_agents))))
-    bundles = {}
-    for agent in instance.agents:
-        listed = bundles_field.get(agent, [])
-        if not isinstance(listed, list):
-            raise DocumentError("bundle of agent %r must be a list" % (agent,))
-        bundles[agent] = frozenset(listed)
+
+    def distinct(value, what):
+        found = _identifiers(value, what)
+        if len(found) != len(value):
+            raise DocumentError("%s lists an item twice" % what)
+        return found
+
+    bundles = {agent: distinct(bundles_field.get(agent, []), "bundle of agent %r" % (agent,))
+               for agent in instance.agents}
     allocation = Allocation.from_bundles(instance, bundles)
     violations = validate_allocation(instance, allocation)
     if violations:
         raise DocumentError("; ".join(violations))
     declared = data.get("withheld")
     if declared is not None:
-        if frozenset(declared) != allocation.withheld:
+        if distinct(declared, "withheld") != allocation.withheld:
             raise DocumentError(
                 "declared withheld set %s does not match the complement %s"
                 % (sorted(declared), instance.sorted_items(allocation.withheld)))

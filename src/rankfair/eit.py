@@ -27,13 +27,14 @@ from .core import (
     TransferabilityViolated,
     assert_valid,
     clean,
+    ef1_pair,
+    first_ef1_violation,
     format_exact,
     is_clean,
     marginal_gain,
     values_vector,
 )
-from .fairness import ef1_pair, first_ef1_violation
-from .matching import max_cardinality_matching, max_weight_matching
+from .matching import max_weight_matching
 from .matroid_intersection import max_common_independent_set, shortest_path
 from .oracle import sum_squares
 from .valuations import AssignmentValuation
@@ -173,22 +174,14 @@ def _require_assignment(instance: Instance, what: str):
             )
 
 
-def _member_rows(instance: Instance) -> dict:
-    """(agent, member) -> {item: weight}, agents and members in order."""
-    return {
-        (a, mb): instance.valuation(a).weights[mb]
-        for a in instance.agents
-        for mb in instance.valuation(a).members
-    }
-
-
 def _global_optimum_matching(instance: Instance):
     """Max-weight matching of all items to (agent, member) pairs.
 
     Its total weight is the maximum utilitarian welfare for assignment
     valuations, since the per-bundle matchings are independent.
     """
-    rows = _member_rows(instance)
+    rows = {(a, mb): instance.valuation(a).weights[mb]
+            for a in instance.agents for mb in instance.valuation(a).members}
     weight = lambda node, item: rows[node].get(item, 0)
     return max_weight_matching(list(instance.items), list(rows), weight)
 
@@ -451,18 +444,9 @@ def waste(instance: Instance, allocation: Allocation) -> tuple:
 
 
 def max_utilitarian_welfare(instance: Instance):
-    """Exact optimal welfare for assignment instances (global matching).
-
-    With every weight 1 the optimum is the size of a maximum-cardinality
-    matching, found without the weighted matching's relaxation rounds.
-    """
+    """Exact optimal welfare for assignment instances (global matching)."""
     _require_assignment(instance, "welfare optimum")
-    rows = _member_rows(instance)
-    if all(w == 1 for row in rows.values() for w in row.values()):
-        return len(max_cardinality_matching(
-            instance.items, rows, lambda node, item: item in rows[node]))
-    total, _ = _global_optimum_matching(instance)
-    return total
+    return _global_optimum_matching(instance)[0]
 
 
 def price_of_fairness(instance: Instance, allocation: Allocation, optimum=None):

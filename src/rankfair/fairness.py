@@ -5,9 +5,10 @@ agent pair and collected into a report.  Global criteria (proportionality,
 WPROP1, equitability up to c items, maximin share, brute-force Pareto
 optimality) are computed by dedicated functions; the exhaustive ones refuse
 to run past an explicit enumeration budget instead of silently degrading.
-Pareto optimality and the maximin share run on the enumeration oracle's
-block walk over bitmask value tables (``oracle._blocks``) and decide on the
-distinct value vectors it yields.
+The EF1 flag and witness of a pair come from ``core.ef1_pair``, the
+package's one EF1 rule.  Pareto optimality and the maximin share run on the
+enumeration oracle's block walk over bitmask value tables
+(``oracle._blocks``) and decide on the distinct value vectors it yields.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations, compress, count
 from math import comb
 from typing import Mapping, Optional
 
-from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance
+from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance, ef1_pair
 from .oracle import _allocation_at, _blocks, _counts, _dominates, _tables
 
 
@@ -93,35 +94,6 @@ class FairnessReport:
         return self.all_pairs("mef1")
 
 
-def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tuple:
-    """(ok, item): whether agent i is envy-free of j up to one item.
-
-    i passes when it does not envy j (item None), or when removing some item
-    of A_j ends the envy; item is then the first such item in index order.
-    """
-    valuation = instance.valuation(i)
-    own = valuation.value(allocation.bundle(i))
-    theirs = allocation.bundle(j)
-    if own >= valuation.value(theirs):
-        return True, None
-    for o in instance.sorted_items(theirs):
-        if own >= valuation.value(theirs - {o}):
-            return True, o
-    return False, None
-
-
-def first_ef1_violation(instance: Instance, allocation: Allocation):
-    """First ordered pair (i, j), in instance order, where i is not EF1 of j.
-
-    None when the allocation is EF1.
-    """
-    for i in instance.agents:
-        for j in instance.agents:
-            if i != j and not ef1_pair(instance, allocation, i, j)[0]:
-                return i, j
-    return None
-
-
 def _pair_check(instance: Instance, allocation: Allocation, i: str, j: str) -> PairCheck:
     own_bundle = allocation.bundle(i)
     other_bundle = allocation.bundle(j)
@@ -130,11 +102,9 @@ def _pair_check(instance: Instance, allocation: Allocation, i: str, j: str) -> P
     envious = own < other
     gap = other - own
 
+    ef1, ef1_witness = ef1_pair(instance, allocation, i, j)
     ordered = instance.sorted_items(other_bundle)
     reduced = {o: instance.value(i, other_bundle - {o}) for o in ordered}
-    # ef1_pair's rule, read off ``reduced``
-    ef1_witness = next((o for o in ordered if own >= reduced[o]), None) if envious else None
-    ef1 = not envious or ef1_witness is not None
 
     efx0_violator = None
     for o in ordered:

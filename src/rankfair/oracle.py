@@ -12,9 +12,13 @@ one placement walk: the brute-force Pareto and maximin-share checkers of
 ``fairness`` run on it too.  It fixes the leading half of the items per
 block and gathers the vectors of every placement of the trailing half
 with ``itemgetter`` and ``zip``.  Checks decide on the distinct vectors
-(``_counts``); placements are decoded from their index (``_masks_at``)
-only to name witnesses, in enumeration order.  The ``convex`` gauge
-argument is read by the min_convex objective only.
+(``_counts``).  A placement is decoded from its index (``_allocation_at``)
+to name a witness, in enumeration order, or when a check needs more than
+its vector: cleanliness and EF1 are then asked of ``core``'s predicates
+(``first_zero_marginal``, ``first_ef1_violation``) on the decoded
+allocation, so the theorem checks test the same rules as the solvers and
+``check``.  The ``convex`` gauge argument is read by the min_convex
+objective only.
 
 The verification routines run on any instance; their pass guarantees are
 only promised for matroid-rank valuations, and running them on other
@@ -27,7 +31,8 @@ from itertools import chain, compress, count, islice
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
-from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance
+from .core import (ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance,
+                   first_ef1_violation, first_zero_marginal, values_vector)
 from .valuations import subset_tables
 
 WITNESS_CAP = 64
@@ -269,41 +274,6 @@ def oracle_optimal(instance: Instance, objective: str, convex="sum_squares",
     )
 
 
-def _mask_clean(tables, masks) -> bool:
-    for k, mask in enumerate(masks):
-        table = tables[k]
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            if table[mask] == table[mask ^ low]:
-                return False
-            remaining ^= low
-    return True
-
-
-def _mask_ef1(tables, masks) -> bool:
-    n = len(masks)
-    for i in range(n):
-        own = tables[i][masks[i]]
-        for j in range(n):
-            if i == j:
-                continue
-            mj = masks[j]
-            if own >= tables[i][mj]:
-                continue
-            passed = False
-            remaining = mj
-            while remaining:
-                low = remaining & -remaining
-                if own >= tables[i][mj ^ low]:
-                    passed = True
-                    break
-                remaining ^= low
-            if not passed:
-                return False
-    return True
-
-
 def _dominates(winner, loser) -> bool:
     better = False
     for a, b in zip(winner, loser):
@@ -341,7 +311,7 @@ def verify_equivalences(instance: Instance,
     other valuation classes are reported, not raised.
     """
     items, tables = _tables(instance, False, budget)
-    n, m = instance.n, len(items)
+    m = len(items)
 
     def first_allocation(vector):
         return _allocation_at(instance, items, next(_indices(tables, m, False, {vector})))
@@ -352,21 +322,8 @@ def verify_equivalences(instance: Instance,
     outcomes = []
 
     # (a) Pareto optimality forces utilitarian optimality.
-    pareto_gap = None
-    for vector in sorted(vectors):
-        if sum(vector) == max_usw:
-            continue
-        dominated = False
-        for k in range(len(vector)):
-            bumped = tuple(z + 1 if idx == k else z for idx, z in enumerate(vector))
-            if bumped in vectors:
-                dominated = True
-                break
-        if not dominated:
-            dominated = any(_dominates(other, vector) for other in vectors)
-        if not dominated:
-            pareto_gap = vector
-            break
+    pareto_gap = next((vector for vector in sorted(vectors) if sum(vector) != max_usw
+                       and not any(_dominates(other, vector) for other in vectors)), None)
     outcomes.append(CheckOutcome(
         name="pareto_implies_usw_optimal",
         ok=pareto_gap is None,
@@ -408,34 +365,28 @@ def verify_equivalences(instance: Instance,
     ))
 
     # (c) Clean optima of either kind are envy-free up to one item.
-    lex_violation = None
-    nash_violation = None
+    violations = {}
     for index in _indices(tables, m, False, leximin_optima | nash_optima):
-        masks = _masks_at(index, n, m, False)
-        vector = tuple(table[mask] for table, mask in zip(tables, masks))
-        is_lex = vector in leximin_optima
-        is_nash = vector in nash_optima
-        if not _mask_clean(tables, masks):
+        allocation = _allocation_at(instance, items, index)
+        if (first_zero_marginal(instance, allocation) is not None
+                or first_ef1_violation(instance, allocation) is None):
             continue
-        if _mask_ef1(tables, masks):
-            continue
-        if is_lex and lex_violation is None:
-            lex_violation = (index, vector)
-        if is_nash and nash_violation is None:
-            nash_violation = (index, vector)
-        if lex_violation is not None and nash_violation is not None:
+        vector = values_vector(instance, allocation)
+        for name, optimal in (("clean_leximin_ef1", leximin_optima),
+                              ("clean_mnw_ef1", nash_optima)):
+            if vector in optimal:
+                violations.setdefault(name, (vector, allocation))
+        if len(violations) == 2:
             break
-    for name, violation in (("clean_leximin_ef1", lex_violation),
-                            ("clean_mnw_ef1", nash_violation)):
+    for name in ("clean_leximin_ef1", "clean_mnw_ef1"):
+        violation = violations.get(name)
         outcomes.append(CheckOutcome(
             name=name,
             ok=violation is None,
             detail="" if violation is None else
-            "clean optimal allocation with vector %s violates EF1" % (violation[1],),
+            "clean optimal allocation with vector %s violates EF1" % (violation[0],),
             counterexample=None if violation is None else {
-                "vector": violation[1],
-                "allocation": _allocation_at(instance, items, violation[0]),
-            },
+                "vector": violation[0], "allocation": violation[1]},
         ))
 
     # (d) Non-leximin utilitarian optima can always move one unit down.
@@ -504,7 +455,7 @@ def usw_optimal_all_clean_complete(instance: Instance,
     counts = _counts(tables, m, False)
     best = max(map(sum, counts))
     for index in _indices(tables, m, False, {v for v in counts if sum(v) == best}):
-        masks = _masks_at(index, instance.n, m, False)
-        if sum(masks) != (1 << m) - 1 or not _mask_clean(tables, masks):
+        allocation = _allocation_at(instance, items, index)
+        if allocation.withheld or first_zero_marginal(instance, allocation) is not None:
             return False
     return True

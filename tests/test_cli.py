@@ -13,9 +13,10 @@ import rankfair
 
 from rankfair import cli
 from rankfair.cli import main
-from rankfair.core import Instance
+from rankfair.core import Allocation, Instance
 from rankfair.documents import dump_path, load_path, serialize_allocation, \
     serialize_instance
+from rankfair.valuations import BinaryAdditiveValuation
 
 import fixtures
 from randgen import random_transversal
@@ -373,6 +374,57 @@ def test_non_object_valuation_is_a_document_error(tmp_path, capsys):
     code, err = _validate_agent_valuation(tmp_path, capsys, "x")
     assert code == 1
     assert err == "error: agent 'a' descriptor must be an object with a type\n"
+
+
+def _agent(agent_id="a", **valuation):
+    return {"id": agent_id,
+            "valuation": valuation or {"type": "binary_additive", "approved": ["o1"]}}
+
+
+_IDS = "must be a list of string identifiers"
+
+
+@pytest.mark.parametrize("agents, allocation, message", [
+    ([_agent(1)], None, "agent id 1 is not a string identifier"),
+    ([_agent(type="binary_additive", approved=[1])], None, "agent 'a' approved " + _IDS),
+    ([_agent(type="binary_additive", approved="o1")], None, "agent 'a' approved " + _IDS),
+    ([_agent(type="binary_assignment", members=[{"id": "m", "adjacent": ["o1"]},
+                                                {"id": "m", "adjacent": ["o2"]}])],
+     None, "agent 'a': duplicate member identifiers"),
+    ([_agent()], {"bundles": {"a": [1, "zz"]}}, "bundle of agent 'a' " + _IDS),
+    ([_agent()], {"bundles": {"a": [["o1"]]}}, "bundle of agent 'a' " + _IDS),
+    ([_agent()], {"bundles": {"a": ["o1", "o1"]}}, "bundle of agent 'a' lists an item twice"),
+    ([_agent()], {"bundles": {"a": ["o1"]}, "withheld": [1, "o2"]}, "withheld " + _IDS),
+    ([_agent()], {"bundles": {"a": ["o1"]}, "withheld": [["o2"]]}, "withheld " + _IDS),
+    ([_agent()], {"bundles": {"a": ["o1"]}, "withheld": "o2o3"}, "withheld " + _IDS),
+], ids=["agent-id-number", "approved-number", "approved-string", "duplicate-member",
+        "bundle-number", "bundle-nested", "bundle-duplicate", "withheld-number",
+        "withheld-nested", "withheld-string"])
+def test_malformed_documents_are_errors(tmp_path, capsys, agents, allocation, message):
+    """Identifiers that are not strings, or are listed twice, exit 1 with one error line."""
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"schema": 1, "items": ["o1", "o2", "o3"],
+                                    "agents": agents}))
+    if allocation is None:
+        argv = ["solve", "--algorithm", "usw-ef1", "--input", str(instance)]
+    else:
+        document = tmp_path / "allocation.json"
+        document.write_text(json.dumps(dict(allocation, schema=1)))
+        argv = ["check", "--input", str(instance), "--allocation", str(document),
+                "--properties", "ef1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_check_names_the_first_failing_pair_in_instance_order(tmp_path, capsys):
+    instance = Instance(agents=("b", "a"), items=("x", "y"), valuations={
+        "a": BinaryAdditiveValuation({"x"}), "b": BinaryAdditiveValuation({"y"})})
+    allocation = Allocation.from_bundles(instance, {"a": {"y"}, "b": {"x"}})
+    code = main(["check", "--input", _write_instance(tmp_path, instance),
+                 "--allocation", _write_allocation(tmp_path, allocation, instance),
+                 "--properties", "ef"])
+    assert code == 4
+    assert capsys.readouterr().out == "ef FAIL b -> a (gap 1)\n"
 
 
 def test_usage_error_exit_code(capsys):

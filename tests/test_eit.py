@@ -9,7 +9,7 @@ from rankfair import eit, valuations
 from rankfair.core import (Allocation, AllocationError, InapplicableAlgorithm,
                            Instance, TransferabilityViolated, is_clean,
                            validate_allocation, values_vector)
-from rankfair.eit import (_global_optimum_matching, eit_ef1, eit_general,
+from rankfair.eit import (eit_ef1, eit_general,
                           envy_graph_baseline, find_transferable_item,
                           max_utilitarian_welfare,
                           potential_phi, price_of_fairness, waste)
@@ -19,8 +19,7 @@ from rankfair.valuations import BinaryAssignmentValuation
 
 import fixtures as fx
 import randgen
-from randgen import (random_matroid_instance, random_oxs_instance,
-                     random_weighted_assignment_instance)
+from randgen import random_matroid_instance, random_weighted_assignment_instance
 
 
 def test_forced_split_transfer_by_transfer():
@@ -248,13 +247,6 @@ def test_pof_zero_over_zero_is_one():
     alloc = Allocation.from_bundles(inst, {"g1": set()})
     assert max_utilitarian_welfare(inst) == 0
     assert price_of_fairness(inst, alloc) == 1
-
-
-def test_unit_weight_welfare_agrees_with_weighted_matching():
-    rng = random.Random(31337)
-    for _ in range(50):
-        inst = random_oxs_instance(rng, n_max=5, m_max=14)
-        assert max_utilitarian_welfare(inst) == _global_optimum_matching(inst)[0]
 
 
 def test_waste_requires_assignment_valuations():

@@ -182,7 +182,7 @@ def test_ef1_pair_reports_the_first_removal_in_index_order():
 
 
 def test_envy_report_agrees_with_ef1_pair_fuzz():
-    """The report reads EF1 off its own removals; it must keep ef1_pair's rule."""
+    """Every pair of the report carries ef1_pair's verdict and witness."""
     rng = random.Random(6161)
     seen = {"ef": 0, "ef1 by removal": 0, "not ef1": 0}
     for _ in range(150):

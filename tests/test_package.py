@@ -1,5 +1,6 @@
 """The package boundary: what ships under src/rankfair and what it exports."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -31,3 +32,25 @@ def test_every_public_import_is_exported():
     public = {name for name, value in vars(rankfair).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(rankfair.__all__)
+
+
+def test_intra_package_imports_sit_at_module_level():
+    """A lazy import would hide an import cycle; this makes a cycle fail loudly."""
+    package = os.path.dirname(os.path.abspath(rankfair.__file__))
+    nested = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                intra = node.level > 0 or (node.module or "").split(".")[0] == "rankfair"
+            elif isinstance(node, ast.Import):
+                intra = any(alias.name.split(".")[0] == "rankfair" for alias in node.names)
+            else:
+                continue
+            if intra and id(node) not in top:
+                nested.append("%s:%d" % (name, node.lineno))
+    assert nested == []
