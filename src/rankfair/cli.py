@@ -227,7 +227,7 @@ def _evaluate_property(token, instance, allocation, cache, budget):
         described = ", ".join("%s: [%s]" % (agent, " ".join(instance.sorted_items(witness.bundle(agent))))
                               for agent in instance.agents)
         return False, "dominated by {%s}" % described
-    if token.startswith("eq") and token[2:].isdigit():
+    if token.startswith("eq") and token[2:].isascii() and token[2:].isdigit():
         c = min_eqc(instance, allocation, budget=budget)
         bound = int(token[2:])
         return c <= bound, "min c = %d" % c
@@ -386,7 +386,7 @@ def _parse_column_map(spec: str) -> dict:
         if not piece:
             continue
         name, _, index = piece.partition("=")
-        if not index.isdigit():
+        if not (index.isascii() and index.isdigit()):  # int() refuses '²'; isdigit() does not
             raise DocumentError("bad column mapping entry %r" % (piece,))
         columns[name.strip()] = int(index)
     return columns

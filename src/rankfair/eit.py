@@ -1,16 +1,19 @@
 """Envy-induced transfers, the envy-graph baseline, waste and price of fairness.
 
 Two transfer procedures share the same core move (take an item out of an
-envied bundle, give it to the envious agent):
+envied bundle, give it to the envious agent).  Every step, theirs and
+the repairs around it, is made and logged by ``TransferLog.move``:
 
 * ``eit_ef1`` works on matroid rank valuations.  Starting from a clean
   utilitarian-optimal allocation, every transfer keeps the allocation clean
   and welfare-optimal, the squared-values potential drops by at least 2 per
   step, and the loop stops on an EF1 allocation within m^2/2 steps.
 
-* ``eit_general`` is the heuristic for weighted assignment valuations.  It
-  has no termination guarantee, so it runs under a step budget and reports
-  exhaustion explicitly instead of looping forever.
+* ``eit_general`` is the heuristic for weighted assignment valuations;
+  it repairs each move by backfilling the donor and cascading the items
+  that witness matchings leave unused.  It has no termination guarantee,
+  so it runs under a step budget and reports exhaustion explicitly
+  instead of looping forever.
 """
 
 from __future__ import annotations
@@ -56,10 +59,21 @@ class TransferStep:
 class TransferLog:
     steps: list = field(default_factory=list)
 
-    def append(self, item, source, target, phi_before, phi_after):
-        self.steps.append(
-            TransferStep(len(self.steps) + 1, item, source, target, phi_before, phi_after)
-        )
+    def move(self, instance, allocation, item, source, target) -> Allocation:
+        """``allocation`` with ``item`` moved from ``source`` to ``target``.
+
+        Either end may be WITHHELD, the pool.  The step is logged with the
+        potential before and after.
+        """
+        bundles = {a: set(b) for a, b in allocation.bundles.items()}
+        withheld = set(allocation.withheld)
+        (withheld if source == WITHHELD else bundles[source]).discard(item)
+        (withheld if target == WITHHELD else bundles.setdefault(target, set())).add(item)
+        moved = Allocation(bundles, withheld)
+        self.steps.append(TransferStep(
+            len(self.steps) + 1, item, source, target,
+            potential_phi(instance, allocation), potential_phi(instance, moved)))
+        return moved
 
     def __len__(self):
         return len(self.steps)
@@ -99,20 +113,6 @@ def find_transferable_item(
     raise TransferabilityViolated(envious, envied)
 
 
-def _move(allocation: Allocation, item: str, source, target) -> Allocation:
-    bundles = {a: set(b) for a, b in allocation.bundles.items()}
-    withheld = set(allocation.withheld)
-    if source == WITHHELD:
-        withheld.discard(item)
-    else:
-        bundles[source].discard(item)
-    if target == WITHHELD:
-        withheld.add(item)
-    else:
-        bundles.setdefault(target, set()).add(item)
-    return Allocation(bundles, withheld)
-
-
 def eit_ef1(instance: Instance, initial: Allocation | None = None) -> tuple:
     """Clean, utilitarian-optimal, EF1 allocation by envy-induced transfers.
 
@@ -147,9 +147,7 @@ def eit_ef1(instance: Instance, initial: Allocation | None = None) -> tuple:
             return allocation, log
         i, j = pair
         o = find_transferable_item(instance, allocation, i, j)
-        phi_before = potential_phi(instance, allocation)
-        allocation = _move(allocation, o, j, i)
-        log.append(o, j, i, phi_before, potential_phi(instance, allocation))
+        allocation = log.move(instance, allocation, o, j, i)
     raise RuntimeError(
         "transfer loop exceeded the m^2/2 step bound; "
         "valuations are probably not matroid rank functions"
@@ -199,9 +197,17 @@ def initial_assignment_allocation(instance: Instance) -> tuple:
     return clean(instance, Allocation.from_bundles(instance, bundles)), total
 
 
-def _unused_items(instance, valuation, bundle):
-    _, witness = valuation.assignment_value(bundle)
+def _unused_items(instance, allocation, agent):
+    """Items of the agent's bundle that its witness matching leaves aside."""
+    bundle = allocation.bundle(agent)
+    _, witness = instance.valuation(agent).assignment_value(bundle)
     return [o for o in instance.sorted_items(bundle) if o not in witness]
+
+
+def _best_positive(candidates, gain):
+    """The first candidate of maximal positive gain; None if no gain is positive."""
+    best = max(candidates, key=gain, default=None)  # max keeps the first maximal one
+    return best if best is not None and gain(best) > 0 else None
 
 
 def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResult:
@@ -210,12 +216,14 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
     Per round: among all pairs (i, j) where i envies j beyond one item and
     all items o in j's bundle with positive marginal gain for i, the triple
     maximizing  gain_i(o) + loss_j(o)  moves (ties: lowest i, then j, then
-    o).  The donor is backfilled with the withheld item of maximum positive
-    marginal gain (lowest index on ties), and items left unused by the new
-    witness matchings are revoked and cascaded to the agent with the
-    largest positive marginal gain, withheld when nobody gains; the
-    recipient's bundle is cascaded first and then every bundle is swept, so
-    no unused item survives a round.
+    o).  The donor j is backfilled with the withheld item of maximum
+    positive marginal gain.  Then, while some witness matching leaves an
+    item of its bundle unused, the first such agent (i, then instance
+    order) cascades its lowest-index unused item: the item goes to the
+    agent with the largest positive marginal gain for it, computed with
+    the item withheld, or to the pool when nobody gains, and a receiver
+    left with an unused item cascades that one next.  Ties go to the
+    lowest index, so no unused item survives a round.
 
     Termination is not guaranteed; after ``budget`` rounds (default
     10*m^2) the current allocation is returned with ``exhausted=True``.
@@ -223,66 +231,36 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
     matching of the start, so a price of fairness needs no second one.
     """
     _require_assignment(instance, "envy-induced transfers")
-    m = instance.m
+    agents, m = instance.agents, instance.m
     if budget is None:
         budget = 10 * m * m
     allocation, optimum = initial_assignment_allocation(instance)
     log = TransferLog()
     steps = 0
 
-    def phi():
-        return potential_phi(instance, allocation)
-
-    def revoke_and_cascade(item, holder):
-        # hand the revoked item along positive marginal gains; every hop
-        # strictly raises the receiving agent's value while no other value
-        # changes, so states never repeat; the bound is a safety net only
+    def cascade(source):
+        # every hop strictly raises the receiving agent's value while no
+        # other value changes, so states never repeat; the bound is a
+        # safety net only
         nonlocal allocation
-        source = holder
         for _hop in range(10 * instance.n * m + 10):
-            before = phi()
-            allocation = _move(allocation, item, source, WITHHELD)
-            gains = [
-                (marginal_gain(instance.valuation(k), allocation.bundle(k), item), k)
-                for k in instance.agents
-            ]
-            best = max(g for g, _ in gains)
-            if best <= 0:
-                log.append(item, source, WITHHELD, before, phi())
+            item = _unused_items(instance, allocation, source)[0]
+            receiver = _best_positive(agents, lambda k: marginal_gain(
+                instance.valuation(k), allocation.bundle(k) - {item}, item))
+            allocation = log.move(instance, allocation, item, source,
+                                  WITHHELD if receiver is None else receiver)
+            if receiver is None or not _unused_items(instance, allocation, receiver):
                 return
-            receiver = next(k for g, k in gains if g == best)
-            allocation = _move(allocation, item, WITHHELD, receiver)
-            log.append(item, source, receiver, before, phi())
-            unused = _unused_items(
-                instance, instance.valuation(receiver), allocation.bundle(receiver)
-            )
-            if not unused:
-                return
-            item, source = unused[0], receiver
+            source = receiver
         raise RuntimeError("revocation cascade failed to settle")
 
-    def sweep_unused(first: str):
-        # recipient first, then instance order, until no witness matching
-        # leaves an item of its own bundle aside
-        order = [first] + [a for a in instance.agents if a != first]
-        settled = False
-        while not settled:
-            settled = True
-            for k in order:
-                unused = _unused_items(instance, instance.valuation(k), allocation.bundle(k))
-                if unused:
-                    settled = False
-                    revoke_and_cascade(unused[0], k)
-                    break
-
-    while True:
-        best_key = None
-        best_triple = None
-        for i in instance.agents:
+    def envious_moves():
+        # (gain_i(o) + loss_j(o), (i, j, o)) in (i, j, o) order
+        for i in agents:
             vi = instance.valuation(i)
             mine = allocation.bundle(i)
             base = vi.value(mine)
-            for j in instance.agents:
+            for j in agents:
                 if i == j or ef1_pair(instance, allocation, i, j)[0]:
                     continue
                 vj = instance.valuation(j)
@@ -290,36 +268,24 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
                 theirs_value = vj.value(theirs)
                 for o in instance.sorted_items(theirs):
                     gain_i = vi.value(mine | {o}) - base
-                    if gain_i <= 0:
-                        continue
-                    keep_j = theirs_value - vj.value(theirs - {o})
-                    key = gain_i + keep_j
-                    if best_key is None or key > best_key:
-                        best_key = key
-                        best_triple = (i, j, o)
-        if best_triple is None:
-            return EitGeneralResult(allocation, log, steps, False, optimum)
-        if steps >= budget:
-            return EitGeneralResult(allocation, log, steps, True, optimum)
+                    if gain_i > 0:
+                        yield gain_i + theirs_value - vj.value(theirs - {o}), (i, j, o)
+
+    while True:
+        best = max(envious_moves(), key=lambda move: move[0], default=None)
+        if best is None or steps >= budget:
+            return EitGeneralResult(allocation, log, steps, best is not None, optimum)
         steps += 1
-        i, j, o = best_triple
-        before = phi()
-        allocation = _move(allocation, o, j, i)
-        log.append(o, j, i, before, phi())
-        # donor backfill: best withheld item, if any helps
-        vj = instance.valuation(j)
-        best_gain = 0
-        best_item = None
-        for w in instance.sorted_items(allocation.withheld):
-            g = marginal_gain(vj, allocation.bundle(j), w)
-            if g > best_gain:
-                best_gain = g
-                best_item = w
-        if best_item is not None:
-            before = phi()
-            allocation = _move(allocation, best_item, WITHHELD, j)
-            log.append(best_item, WITHHELD, j, before, phi())
-        sweep_unused(i)
+        _, (i, j, o) = best
+        allocation = log.move(instance, allocation, o, j, i)
+        fill = _best_positive(instance.sorted_items(allocation.withheld), lambda w: marginal_gain(
+            instance.valuation(j), allocation.bundle(j), w))
+        if fill is not None:
+            allocation = log.move(instance, allocation, fill, WITHHELD, j)
+        order = [i] + [a for a in agents if a != i]
+        while (holder := next((k for k in order if _unused_items(instance, allocation, k)),
+                              None)) is not None:
+            cascade(holder)
 
 
 def _shortest_envy_cycle(agents, edges):
@@ -424,21 +390,10 @@ def waste(instance: Instance, allocation: Allocation) -> tuple:
     (the notion of "unassigned under the witness" has no meaning otherwise).
     """
     _require_assignment(instance, "waste accounting")
-    wasted = 0
-    for h in instance.agents:
-        bundle = allocation.bundle(h)
-        if not bundle:
-            continue
-        _, witness = instance.valuation(h).assignment_value(bundle)
-        for o in instance.sorted_items(bundle):
-            if o in witness:
-                continue
-            for other in instance.agents:
-                if other == h:
-                    continue
-                if marginal_gain(instance.valuation(other), allocation.bundle(other), o) > 0:
-                    wasted += 1
-                    break
+    wasted = sum(
+        any(marginal_gain(instance.valuation(other), allocation.bundle(other), o) > 0
+            for other in instance.agents if other != h)
+        for h in instance.agents for o in _unused_items(instance, allocation, h))
     m = instance.m
     return wasted, (Fraction(100 * wasted, m) if m else Fraction(0))
 

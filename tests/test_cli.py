@@ -488,15 +488,23 @@ def test_bench_command(tmp_path, capsys, ratings_path, users_path):
     (["validate", "--spot-check", "-5"], "--spot-check must be at least 1, got -5"),
     (["solve", "--algorithm", "eit-general", "--budget", "-1"],
      "--budget must be at least 0, got -1"),
+    # str.isdigit() accepts superscripts, which int() refuses
+    (["bench", "--items", "6", "--ratings-map", "user=0,item=1,rating=\u00b2"],
+     "bad column mapping entry 'rating=\u00b2'"),
+    (["check", "--properties", "eq\u00b3"], "unknown property 'eq\u00b3'"),
 ], ids=["bench-items", "bench-budget", "ratings-map-no-rating", "ratings-map-empty",
-        "spot-check-zero", "spot-check-negative", "solve-budget"])
+        "spot-check-zero", "spot-check-negative", "solve-budget",
+        "ratings-map-superscript", "check-eq-superscript"])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, ratings_path,
                                               users_path, argv, message):
     if argv[0] == "bench":
         argv = argv + ["--ratings", ratings_path, "--users", users_path,
                        "--attribute", "gender", "--runs", "1", "--seed", "7"]
     else:
-        argv = argv + ["--input",
-                       _write_instance(tmp_path, fixtures.usw_not_ef1_instance())]
+        instance = fixtures.usw_not_ef1_instance()
+        argv = argv + ["--input", _write_instance(tmp_path, instance)]
+        if argv[0] == "check":
+            empty = Allocation.from_bundles(instance, {})
+            argv += ["--allocation", _write_allocation(tmp_path, empty, instance)]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: %s\n" % message)

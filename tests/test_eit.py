@@ -6,6 +6,7 @@ from math import inf
 import pytest
 
 from rankfair import eit, valuations
+from rankfair.cli import main
 from rankfair.core import (Allocation, AllocationError, InapplicableAlgorithm,
                            Instance, TransferabilityViolated, is_clean,
                            validate_allocation, values_vector)
@@ -13,6 +14,7 @@ from rankfair.eit import (eit_ef1, eit_general,
                           envy_graph_baseline, find_transferable_item,
                           max_utilitarian_welfare,
                           potential_phi, price_of_fairness, waste)
+from rankfair.documents import dump_path, serialize_instance
 from rankfair.fairness import envy_report
 from rankfair.oracle import max_usw_value
 from rankfair.valuations import BinaryAssignmentValuation
@@ -225,6 +227,86 @@ def test_pinned_baseline_draws_rotate_cycles(monkeypatch):
         assert cycles
         lengths.extend(len(cycle) for cycle in cycles)
     assert max(lengths) == 3
+
+
+# (randgen family, seed, arguments, first 16 hex digits of the SHA-256 of
+# `solve --algorithm eit-general --format machine`'s exit code and stdout,
+# and of its transfer log).  Together the draws reach every kind of step;
+# seed 125 at 4 x 8 backfills the first of two withheld items of equal gain.
+_EIT_GENERAL = [
+    ("random_weighted_assignment_instance", 6, {}, "91aa210174b6fc6b", "c823c116e4a719b2"),
+    ("random_weighted_assignment_instance", 52, {}, "4ec9a6bd157356bf", "705ca8c719072eb1"),
+    ("random_weighted_assignment_instance", 165, {}, "2ce75a22324d8082", "e1837d1193171655"),
+    ("random_weighted_assignment_instance", 311, {}, "4fd3ce8d1252b387", "5374b2b7b72154b8"),
+    ("random_weighted_assignment_instance", 125, {"n": 4, "m": 8}, "a2c69c4e03295461", "f870afba5fe56387"),
+    ("random_weighted_assignment_instance", 63, {"n": 4, "m": 8}, "125e9abc84f76c92", "b6493239e531a456"),
+    ("random_weighted_assignment_instance", 8, {"n": 5, "m": 10}, "b8092d7a5aa00262", "7092bb19f21973bf"),
+    ("random_weighted_assignment_instance", 1261, {"n": 4, "m": 6}, "0ff964f7617c99a8", "0138fd5fd8d347d1"),
+    ("random_weighted_assignment_instance", 2639, {"n": 3, "m": 6}, "9e3f0982e7da062c", "0de68f12262f27b5"),
+    ("random_oxs_instance", 38, {}, "eaab7c4ba6fa6afe", "0e59153f621ff48d"),
+]
+
+
+def _eit_general_cli(tmp_path, monkeypatch, capsys, family, seed, kwargs):
+    """(instance, exit code and stdout, transfer log) of one pinned draw."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep stdout free of tmp_path
+    inst = _rotating_instance(family, seed, kwargs)
+    dump_path(serialize_instance(inst), "instance.json")
+    code = main(["solve", "--algorithm", "eit-general", "--input", "instance.json",
+                 "--output", "result.json", "--format", "machine"])
+    output = "%d\n%s" % (code, capsys.readouterr().out)
+    return inst, output, (tmp_path / "result.json.transfers.tsv").read_text()
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family,seed,kwargs,output,transfers", _EIT_GENERAL)
+def test_eit_general_cli_output_is_pinned(tmp_path, monkeypatch, capsys,
+                                          family, seed, kwargs, output, transfers):
+    _, out, tsv = _eit_general_cli(tmp_path, monkeypatch, capsys, family, seed, kwargs)
+    assert (_sha16(out), _sha16(tsv)) == (output, transfers)
+
+
+def _step_kinds(inst, tsv):
+    """The kinds of step in an eit_general transfer log, read off a replay.
+
+    A step out of the pool is a backfill.  A step taken while some witness
+    matching leaves an item of its own bundle aside belongs to a cascade,
+    and revokes when it goes to the pool; a cascade step out of the
+    previous one's receiver is a further hop.  Any other step is a round's.
+    """
+    start = eit.initial_assignment_allocation(inst)[0]
+    held = {a: set(start.bundle(a)) for a in inst.agents}
+    held[eit.WITHHELD] = set(start.withheld)
+    kinds, receiver = set(), None
+    for row in tsv.splitlines()[1:]:
+        _, item, source, target, _, _ = row.split("\t")
+        if source == eit.WITHHELD:
+            kind = "backfill"
+        elif all(len(inst.valuation(a).assignment_value(held[a])[1]) == len(held[a])
+                 for a in inst.agents):
+            kind = "round"
+        else:
+            kind = "revoke" if target == eit.WITHHELD else "cascade"
+            if source == receiver:
+                kinds.add("hop")
+        kinds.add(kind)
+        receiver = target if kind == "cascade" else None
+        held[source].remove(item)
+        held[target].add(item)
+    return kinds
+
+
+def test_pinned_eit_general_draws_reach_every_kind_of_step(tmp_path, monkeypatch, capsys):
+    kinds = set()
+    for family, seed, kwargs, _, _ in _EIT_GENERAL:
+        inst, out, tsv = _eit_general_cli(tmp_path, monkeypatch, capsys, family, seed, kwargs)
+        kinds |= _step_kinds(inst, tsv)
+        if out.startswith("3\n"):  # the transfer budget ran out
+            kinds.add("exhausted")
+    assert kinds == {"round", "backfill", "cascade", "revoke", "hop", "exhausted"}
 
 
 def test_waste_counts_idle_items_wanted_elsewhere():

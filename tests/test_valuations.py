@@ -280,3 +280,14 @@ def test_spot_check_catches_shoe_and_passes_rank():
     assert not report.ok and report.axiom == "submodularity"
     good = BinaryAssignmentValuation({"m": {"a", "b"}})
     assert spot_check_matroid_rank(good, frozenset({"a", "b"}), samples=40, seed=0).ok
+
+
+def test_spot_check_reports_the_cardinality_bound():
+    # lambda = 2 doubles every value, so any nonempty sample exceeds its size
+    items = ("a", "b", "c")
+    doubled = ScaledValuation(BinaryAdditiveValuation(set(items)), 2)
+    report = spot_check_matroid_rank(doubled, items, samples=5, seed=0)
+    assert not report.ok and report.axiom == "cardinality bound"
+    assert report.witness == {"subset": frozenset({"c"}), "value": 2}
+    # the exhaustive scan meets the gain of 2 on the empty set first
+    assert verify_matroid_rank(doubled, items).axiom == "binary marginals"
