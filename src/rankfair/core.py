@@ -4,7 +4,11 @@ The per-bundle allocation predicates live here, each defined once:
 ``first_zero_marginal`` (cleanliness) and ``ef1_pair`` with
 ``first_ef1_violation`` (envy-freeness up to one item).  Both report the
 first violation in index order; the solvers, the checkers and the
-enumeration oracle all take their verdicts from them.
+enumeration oracle all take their verdicts from them.  For a valuation
+that answers ``coloops(bundle)`` (see ``valuations``), ``ef1_pair`` reads
+the verdict off that bundle's matroid: a matroid rank is at most the
+bundle's size, and removing an item lowers it exactly when the item is a
+coloop, so at most one value and one coloop query decide the pair.
 
 Everything in this package is exact arithmetic (int or fractions.Fraction).
 Floats are deliberately never produced by any computation here: leximin and
@@ -237,12 +241,32 @@ def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tupl
 
     i passes when it does not envy j (item None), or when removing some item
     of A_j ends the envy; item is then the first such item in index order.
+
+    When i's valuation answers ``coloops`` (a matroid rank function whose
+    matroid is explicit), the verdict comes from that structure: v_i(A_j)
+    is at most |A_j|, and v_i(A_j - o) is v_i(A_j) - 1 exactly when o is a
+    coloop of A_j and v_i(A_j) otherwise.  So own >= |A_j| needs no value
+    of A_j, own + 1 < v_i(A_j) is a violation, and at own + 1 = v_i(A_j)
+    the witness is the first coloop (the first item when v_i(A_j) = |A_j|,
+    since then every item is one).  Other valuations value A_j minus each
+    item in turn.
     """
     valuation = instance.valuation(i)
     own = valuation.value(allocation.bundle(i))
     theirs = allocation.bundle(j)
-    if own >= valuation.value(theirs):
+    coloops = getattr(valuation, "coloops", None)
+    if coloops is not None and own >= len(theirs):
         return True, None
+    whole = valuation.value(theirs)
+    if own >= whole:
+        return True, None
+    if coloops is not None:
+        if own + 1 < whole:
+            return False, None
+        removable = theirs if whole == len(theirs) else coloops(theirs)
+        if not removable:
+            return False, None
+        return True, min(removable, key=instance.item_index.__getitem__)
     for o in instance.sorted_items(theirs):
         if own >= valuation.value(theirs - {o}):
             return True, o

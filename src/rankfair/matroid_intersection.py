@@ -47,11 +47,17 @@ def shortest_path(starts, successors, is_end):
     and every ``successors(v)`` come in ascending order, each layer is
     discovered in lexicographic order of its least shortest path, so that
     first end closes the lexicographically least of all shortest
-    start-to-end paths.
+    start-to-end paths.  ``starts`` may be a one-shot iterable: it is read
+    in order, and not past the first start that is an end, which is then
+    the whole path.
     """
-    parent = dict.fromkeys(starts)
+    parent = {}
+    for v in starts:
+        if is_end(v):
+            return [v]
+        parent[v] = None
     queue = deque(parent)
-    end = next(filter(is_end, queue), None)
+    end = None
     while end is None and queue:
         v = queue.popleft()
         for w in successors(v):
@@ -108,9 +114,11 @@ def max_common_independent_set(instance: Instance) -> Allocation:
     Runs at most m augmentations; every augmentation grows the common
     independent set by exactly one element.  Vertices are searched in
     tuple order, so ids compare as strings (``g10`` before ``g2``).  After
-    each augmentation the new set is re-checked against both matroids; a
-    failure means some valuation is not actually a matroid rank function
-    and is reported as NonMatroidOracle naming that agent.
+    each augmentation the new set is re-checked against both matroids,
+    the union side only for the agents on the path, since no other bundle
+    changed; a failure means some valuation is not actually a matroid rank
+    function and is reported as NonMatroidOracle naming the first such
+    agent in instance order.
     """
     agents, items = sorted(instance.agents), sorted(instance.items)
     union_sides = {}
@@ -131,7 +139,7 @@ def max_common_independent_set(instance: Instance) -> Allocation:
             return [(a, x) for x in sides[a][1].get(o, ())]
 
         held = {o for _, o in X}
-        sources = [(a, o) for a in agents for o in items if o not in held]
+        sources = ((a, o) for a in agents for o in items if o not in held)
         path = shortest_path(sources, successors, lambda v: v[1] in sides[v[0]][0])
         if path is None:
             return Allocation.from_bundles(instance, bundles)
@@ -141,8 +149,9 @@ def max_common_independent_set(instance: Instance) -> Allocation:
                 path[-1][0], "augmentation produced a duplicated item"
             )
         bundles = _bundles(instance, X)
-        unclean = next((a for a in instance.agents
-                        if instance.value(a, bundles[a]) != len(bundles[a])), None)
+        moved = {a for a, _ in path}  # every other bundle is unchanged, and clean
+        unclean = next((a for a in instance.agents if a in moved
+                        and instance.value(a, bundles[a]) != len(bundles[a])), None)
         if unclean is not None:
             raise NonMatroidOracle(
                 unclean, "augmentation produced an unclean bundle"

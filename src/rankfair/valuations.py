@@ -10,7 +10,12 @@ truncations of either) also expose exchange(bundle, items): for a clean
 bundle A, the items o outside A with v(A + o) = |A| + 1 (sinks), and for
 every other o the sorted items x of A with v(A - x + o) = |A| (o's circuit
 in A + o, without o).  It reads both off the matroid's structure instead
-of asking value, and returns None when A is not clean.
+of asking value, and returns None when A is not clean.  They also answer
+coloops(bundle), for any bundle A: the items x of A with v(A - x) =
+v(A) - 1, which every basis of A contains.  Since a matroid rank never
+exceeds the bundle's size and loses 1 exactly at a coloop, this decides
+EF1 without valuing A minus each item (``core.ef1_pair``).  A truncation
+has the query only when its inner valuation has it.
 
 Assignment valuations also expose value_with(bundle, item), the value of
 bundle + item found by one alternating-path search from item over bundle's
@@ -62,6 +67,10 @@ class BinaryAdditiveValuation:
             return None
         return ({o for o in items if o in self.approved and o not in bundle},
                 {o: [] for o in items if o not in self.approved})
+
+    def coloops(self, bundle):
+        """Removing an approved item costs 1, any other item nothing."""
+        return self.approved & bundle
 
 
 class AssignmentValuation:
@@ -279,6 +288,26 @@ class BinaryAssignmentValuation(AssignmentValuation):
                 circuits[o] = sorted(set().union(*map(reachable, members)))
         return sinks, circuits
 
+    def coloops(self, bundle):
+        """The items of A that every maximum matching of A covers.
+
+        A backward search over A's witness matching: from the unmatched
+        items to their members, then to those members' items.  Each item
+        it reaches can be left unmatched by swapping along the way back,
+        so v(A - x) = v(A); every matched item it never reaches is a coloop.
+        """
+        witness = self.assignment_value(bundle)[1]
+        item_of = {member: item for item, member in witness.items()}
+        stack = [x for x in bundle if x not in witness]
+        free = set(stack)
+        while stack:
+            for member in self._members_of.get(stack.pop(), ()):
+                x = item_of[member]
+                if x not in free:
+                    free.add(x)
+                    stack.append(x)
+        return set(witness) - free
+
 
 @dataclass(frozen=True)
 class TruncatedValuation:
@@ -310,6 +339,16 @@ class TruncatedValuation:
             return answer
         sinks, circuits = answer
         return set(), {**circuits, **dict.fromkeys(sinks, sorted(bundle))}
+
+    @property
+    def coloops(self):
+        """None unless the inner valuation answers coloops; its answer at
+        or below the cap, and none above it, where v(A - x) = cap = v(A)."""
+        coloops = getattr(self.inner, "coloops", None)
+        if coloops is None:
+            return None
+        return lambda bundle: (set() if self.inner.value(bundle) > self.cap
+                               else coloops(bundle))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from rankfair.core import (Allocation, AllocationError, Instance, clean,
+from rankfair import valuations
+from rankfair.core import (Allocation, AllocationError, Instance, clean, ef1_pair,
                            first_zero_marginal, format_exact, is_clean, is_complete,
                            marginal_gain, parse_exact, validate_allocation,
                            values_vector)
-from rankfair.valuations import BinaryAdditiveValuation, BinaryAssignmentValuation
+from rankfair.valuations import (BinaryAdditiveValuation, BinaryAssignmentValuation,
+                                 ScaledValuation, TruncatedValuation)
 
 from randgen import random_matroid_instance, random_allocation
 
@@ -118,6 +120,82 @@ def test_clean_preserves_values_randomized():
         assert is_clean(inst, cleaned)
         assert values_vector(inst, cleaned) == values_vector(inst, alloc)
         assert not validate_allocation(inst, cleaned)
+
+
+def test_ef1_pair_asks_coloops_only_of_matroid_ranks():
+    # A truncated scaled valuation can exceed the bundle's size, so it must
+    # not take the matroid branch: 2 >= |{a, b}| is no EF1 verdict here.
+    doubled = TruncatedValuation(ScaledValuation(BinaryAdditiveValuation({"a", "b", "x"}), 2), 10)
+    inst = Instance(agents=("i", "j"), items=("a", "b", "x"), valuations={
+        "i": doubled, "j": BinaryAdditiveValuation({"a"})})
+    alloc = Allocation.from_bundles(inst, {"i": {"x"}, "j": {"a", "b"}})
+    assert ef1_pair(inst, alloc, "i", "j") == (True, "a")
+    assert getattr(doubled, "coloops", None) is None
+
+
+class ValueOnly:
+    """A valuation with its ``coloops`` query stripped: value alone."""
+
+    def __init__(self, inner):
+        self.value = inner.value
+
+
+def _ef1_branch(instance, allocation, i, j):
+    """Which case of the matroid branch decides (i, j), from values alone."""
+    v = instance.valuation(i)
+    own, theirs = v.value(allocation.bundle(i)), allocation.bundle(j)
+    whole = v.value(theirs)
+    if own >= len(theirs):
+        return "own at least size"
+    if own >= whole:
+        return "no envy"
+    if own + 1 < whole:
+        return "envy by two"
+    if whole == len(theirs):
+        return "independent"
+    coloop = any(v.value(theirs - {o}) == own for o in theirs)
+    return "coloop" if coloop else "no coloop"
+
+
+def test_ef1_pair_matroid_branch_matches_the_value_loop(monkeypatch):
+    calls = {"matroid": 0, "loop": 0, "reference": 0}
+    mode = ["matroid"]
+    matching = valuations.max_cardinality_matching
+
+    def counted(*args):
+        calls[mode[0]] += 1
+        return matching(*args)
+
+    monkeypatch.setattr(valuations, "max_cardinality_matching", counted)
+    rng = random.Random(31337)
+    seen = {"empty": 0, "unclean": 0, "partial": 0}
+    for _ in range(200):
+        seed, n, m = rng.random(), rng.randint(2, 4), rng.randint(3, 9)
+        inst = random_matroid_instance(random.Random(seed), n, m)
+        fresh = random_matroid_instance(random.Random(seed), n, m)
+        loop = Instance(agents=fresh.agents, items=fresh.items, valuations={
+            a: ValueOnly(fresh.valuation(a)) for a in fresh.agents})
+        allocs = [random_allocation(rng, inst, allow_withheld=rng.random() < 0.5)
+                  for _ in range(3)]
+        allocs.append(clean(inst, allocs[0]))
+        for alloc in allocs:
+            seen["partial"] += not is_complete(inst, alloc)
+            for i in inst.agents:
+                for j in inst.agents:
+                    if i == j:
+                        continue
+                    mode[0] = "matroid"
+                    got = ef1_pair(inst, alloc, i, j)
+                    mode[0] = "loop"
+                    assert got == ef1_pair(loop, alloc, i, j), (inst, alloc, i, j)
+                    mode[0] = "reference"
+                    theirs = alloc.bundle(j)
+                    seen["empty"] += not theirs
+                    seen["unclean"] += fresh.value(j, theirs) != len(theirs)
+                    branch = _ef1_branch(fresh, alloc, i, j)
+                    seen[branch] = seen.get(branch, 0) + 1
+    assert len(seen) == 9 and min(seen.values()) >= 50, seen
+    assert calls["matroid"] < calls["loop"], calls
 
 
 @pytest.mark.parametrize("value,text", [

@@ -123,6 +123,48 @@ def test_exchange_declines_unclean_bundles_and_other_families():
         assert TruncatedValuation(other, 1).exchange(frozenset(), items) is None
 
 
+def reference_coloops(valuation, bundle):
+    """The items of ``bundle`` whose removal costs exactly 1, asked of value."""
+    whole = valuation.value(bundle)
+    return {x for x in bundle if valuation.value(bundle - {x}) == whole - 1}
+
+
+def _random_bundle(rng, items):
+    return frozenset(it for it in items if rng.random() < rng.choice((0.3, 0.6, 0.9)))
+
+
+def test_coloops_match_value_oracle_definition():
+    rng = random.Random(77031)
+    seen = {"clean": 0, "unclean": 0, "some coloop": 0, "no coloop": 0,
+            "partly coloops": 0, "above cap": 0, "at or below cap": 0}
+    for _ in range(400):
+        items = list(_items(rng.randint(1, 10)))
+        valuation = _random_structural(rng, items)
+        bundles = {frozenset(), frozenset(items), _random_clean_bundle(rng, valuation, items),
+                   *(_random_bundle(rng, items) for _ in range(3))}
+        for bundle in bundles:
+            expected = reference_coloops(valuation, bundle)
+            assert valuation.coloops(bundle) == expected, (valuation, bundle)
+            seen["clean" if valuation.value(bundle) == len(bundle) else "unclean"] += 1
+            seen["some coloop" if expected else "no coloop"] += 1
+            seen["partly coloops"] += 0 < len(expected) < len(bundle)
+            if isinstance(valuation, TruncatedValuation):
+                above = valuation.inner.value(bundle) > valuation.cap
+                seen["above cap" if above else "at or below cap"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_coloops_only_where_the_matroid_is_explicit():
+    single = BinaryAssignmentValuation({"m0": {"o1", "o2"}, "m1": set()})
+    assert single.coloops(frozenset({"o1", "o2", "o3"})) == set()
+    assert single.coloops(frozenset({"o2", "o3"})) == {"o2"}
+    assert TruncatedValuation(single, 0).coloops(frozenset({"o1"})) == set()
+    unit = AssignmentValuation(["m0"], {"m0": {"o1": 1}})
+    for other in (unit, ScaledValuation(single, 2), AllOrNothingValuation({"o1"})):
+        assert getattr(other, "coloops", None) is None
+        assert getattr(TruncatedValuation(other, 1), "coloops", None) is None
+
+
 @pytest.fixture
 def inside_union_side(monkeypatch):
     """Counts matchings and all-or-nothing value calls made inside _union_side."""

@@ -146,6 +146,18 @@ def test_a_start_that_is_an_end_needs_no_successors():
     assert shortest_path([0, 5], successors, lambda v: v == 6) == [5, 6]
     assert calls == [0, 5]
 
+    # starts may be one-shot, and are not read past the first end
+    def starts(*vertices):
+        yield from vertices
+        raise AssertionError("starts read past the first end")
+
+    del calls[:]
+    assert shortest_path(starts(3, 7, 8), successors, lambda v: v > 5) == [7]
+    assert shortest_path(starts(2, 2, 4), successors, lambda v: v == 4) == [4]
+    assert calls == []
+    assert shortest_path(iter([0, 5]), successors, lambda v: v == 6) == [5, 6]
+    assert calls == [0, 5]
+
 
 def test_matches_bfs_cycle_search_on_random_envy_graphs():
     rng = random.Random(4242)
