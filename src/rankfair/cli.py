@@ -46,6 +46,7 @@ EXIT_ENUMERATION_BUDGET = 5
 ENVY_FLAGS = ("ef", "ef1", "efx0", "efx_plus", "efx_plus_guarded", "mef1")
 ALL_PROPERTIES = ("ef", "ef1", "efx0", "efx_plus", "mef1",
                   "proportional", "wprop1", "mms", "po")
+ORACLE_WITNESSES = 3  # the most witnesses `oracle` prints
 
 
 def _print_err(message: str) -> None:
@@ -301,7 +302,8 @@ def cmd_oracle(args) -> int:
     budget = _enumeration_budget(args)
     instance = _instance_from(args.input)
     result = oracle_optimal(instance, args.objective, convex=args.convex,
-                            complete_only=args.complete_only, budget=budget)
+                            complete_only=args.complete_only, budget=budget,
+                            witness_cap=ORACLE_WITNESSES)
     if args.format == "machine":
         payload = {
             "objective": result.objective,
@@ -312,7 +314,7 @@ def cmd_oracle(args) -> int:
             "witnesses": [
                 {agent: instance.sorted_items(witness.bundle(agent))
                  for agent in instance.agents}
-                for witness in result.witnesses[:3]
+                for witness in result.witnesses
             ],
         }
         print(json.dumps(payload, indent=2))

@@ -304,7 +304,8 @@ def _shortest_envy_cycle(agents, edges):
 
 
 def _value_with(valuation, bundle, item):
-    """v(bundle + item); assignment valuations grow it off bundle's matching."""
+    """v(bundle + item); assignment valuations and their truncations grow it
+    off bundle's matching."""
     grow = getattr(valuation, "value_with", None)
     return valuation.value(bundle | {item}) if grow is None else grow(bundle, item)
 

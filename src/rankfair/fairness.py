@@ -8,7 +8,7 @@ to run past an explicit enumeration budget instead of silently degrading.
 The EF1 flag and witness of a pair come from ``core.ef1_pair``, the
 package's one EF1 rule.  Pareto optimality and the maximin share run on the
 enumeration oracle's block walk over bitmask value tables
-(``oracle._blocks``) and decide on the distinct value vectors it yields.
+(``oracle._Walk``) and decide on the distinct value vectors it yields.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import comb
 from typing import Mapping, Optional
 
 from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance, ef1_pair
-from .oracle import _allocation_at, _blocks, _counts, _dominates, _tables
+from .oracle import _Walk, _allocation_at, _dominates, _tables
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,8 @@ def mms_share(instance: Instance, agent: str, budget: int = ENUMERATION_BUDGET):
     """
     items, tables = _tables(instance, True, budget, [instance.valuation(agent)],
                             "maximin-share partition enumeration")
-    return max(map(min, _counts(tables * instance.n, len(items), True)), default=None)
+    return max(map(min, _Walk(tables * instance.n, len(items), True).counts()[0]),
+               default=None)
 
 
 def check_mms(instance: Instance, allocation: Allocation,
@@ -265,11 +266,15 @@ def check_po_bruteforce(instance: Instance, allocation: Allocation,
     withheld last).
     """
     items, tables = _tables(instance, False, budget)
+    walk = _Walk(tables, len(items), False)
     current = tuple(instance.value(i, allocation.bundle(i)) for i in instance.agents)
-    for start, vectors in _blocks(tables, len(items), False):
-        dominating = {vector for vector in set(vectors) if _dominates(vector, current)}
+    seen = set()  # keys of earlier blocks, none of which dominates
+    for start, keys in walk.blocks():
+        fresh = set(keys) - seen
+        seen |= fresh
+        dominating = {key for key in fresh if _dominates(walk.vector(key), current)}
         if dominating:
-            index = next(compress(count(start), map(dominating.__contains__, vectors)))
+            index = next(compress(count(start), map(dominating.__contains__, keys)))
             return False, _allocation_at(instance, items, index)
     return True, None
 

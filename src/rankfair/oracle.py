@@ -7,14 +7,17 @@ matroid-rank valuations.  Every scan refuses to start once the number of
 placements exceeds an explicit budget: this module is a measuring
 instrument for tests, not a solver.
 
-``_blocks`` over the bitmask value tables of ``_tables`` is the package's
+``_Walk`` over the bitmask value tables of ``_tables`` is the package's
 one placement walk: the brute-force Pareto and maximin-share checkers of
 ``fairness`` run on it too.  It fixes the leading half of the items per
-block and gathers the vectors of every placement of the trailing half
-with ``itemgetter`` and ``zip``.  Checks decide on the distinct vectors
-(``_counts``).  A placement is decoded from its index (``_allocation_at``)
-to name a witness, in enumeration order, or when a check needs more than
-its vector: cleanliness and EF1 are then asked of ``core``'s predicates
+block and gathers the keys of every placement of the trailing half with
+``itemgetter``, one int per value vector.  Checks decide on the distinct
+vectors, which one counting walk gathers (``_Walk.counts``), together
+with a record of each block's distinct keys.  A placement is decoded from
+its index (``_allocation_at``) to name a witness, in enumeration order, or
+when a check needs more than its vector; ``_Walk.indices`` finds those
+indices by rebuilding only the blocks whose record holds a wanted vector.
+Cleanliness and EF1 are then asked of ``core``'s predicates
 (``first_zero_marginal``, ``first_ef1_violation``) on the decoded
 allocation, so the theorem checks test the same rules as the solvers and
 ``check``.  The ``convex`` gauge argument is read by the min_convex
@@ -27,8 +30,9 @@ valuation classes is how the expected failures are demonstrated.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import chain, compress, count, islice
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance,
@@ -150,41 +154,82 @@ def _digit_masks(n, base, length):
     return masks
 
 
-def _blocks(tables, m, complete_only):
-    """Yield (start, vectors) over all placements of m items, in lex order.
+class _Walk:
+    """Every placement of m items over per-agent value tables, block by block.
 
     Digit p of a placement gives item p to the agent of that index; digit
-    n withholds it and is absent when complete_only is set.  A block fixes
-    the leading m // 2 digits, the low bits of every mask, and lists the
-    vectors of the trailing placements, numbered start + t.
+    n withholds it and is absent when complete_only is set.  Placements are
+    numbered in lex order.  A block fixes the leading m // 2 digits, the low
+    bits of every mask, and lists the keys of the trailing placements,
+    numbered start + t.
+
+    A key is one int that stands for a placement's value vector: agent k's
+    distinct values are numbered in table order, and the key is the sum of
+    number_k(v_k) * radix**k.  A block's keys are then the elementwise sums
+    of the agents' gathered key columns, and the checks count and test one
+    int per placement instead of a tuple.
     """
-    n = len(tables)
-    base = n if complete_only else n + 1
-    if base < 2 or not m:  # at most one placement; a one-agent table holds only it
-        yield 0, [tuple(table[(1 << m) - 1] for table in tables)] * base ** m
-        return
-    head = m // 2
-    lead = _digit_masks(n, base, head)
-    gathers = [itemgetter(*masks) for masks in _digit_masks(n, base, m - head)]
-    size = base ** (m - head)
-    for h in range(base ** head):
-        yield h * size, list(zip(*[gather(table[masks[h]::1 << head])
-                                   for gather, table, masks in zip(gathers, tables, lead)]))
 
+    def __init__(self, tables, m, complete_only):
+        n = len(tables)
+        self.m, self.base = m, n if complete_only else n + 1
+        if self.base < 2:  # at most one placement; a one-agent table holds only it
+            tables = [[table[(1 << m) - 1]] for table in tables]
+        self.values = [list(dict.fromkeys(table)) for table in tables]
+        self.radix = max(map(len, self.values), default=1)
+        self.powers = [self.radix ** k for k in range(n)]
+        self.numbers = [{value: number * power for number, value in enumerate(values)}
+                        for values, power in zip(self.values, self.powers)]
+        self.columns = [list(map(numbers.__getitem__, table))
+                        for numbers, table in zip(self.numbers, tables)]
+        self.head = m // 2
+        self.lead = _digit_masks(n, self.base, self.head)
+        self.gathers = [itemgetter(*masks)
+                        for masks in _digit_masks(n, self.base, m - self.head)]
 
-def _counts(tables, m, complete_only) -> Counter:
-    """Placements per distinct vector, keyed in order of first occurrence."""
-    counts = Counter()
-    for _, vectors in _blocks(tables, m, complete_only):
-        counts.update(vectors)
-    return counts
+    def vector(self, key) -> tuple:
+        return tuple(values[key // power % self.radix]
+                     for values, power in zip(self.values, self.powers))
 
+    def key(self, vector) -> int:
+        return sum(numbers[value] for numbers, value in zip(self.numbers, vector))
 
-def _indices(tables, m, complete_only, wanted):
-    """Indices of the placements whose vector is in ``wanted``, in order."""
-    blocks = _blocks(tables, m, complete_only) if wanted else ()
-    return chain.from_iterable(compress(count(start), map(wanted.__contains__, vectors))
-                               for start, vectors in blocks)
+    def blocks(self, heads=None):
+        """Yield (start, keys) per block, in order; ``heads``, when given,
+        lists the numbers of the only blocks to build, ascending."""
+        if self.base < 2 or not self.m:
+            if heads is None or 0 in heads:
+                yield 0, [0] * self.base ** self.m
+            return
+        size = self.base ** (self.m - self.head)
+        for h in range(self.base ** self.head) if heads is None else heads:
+            columns = [gather(column[masks[h]::1 << self.head])
+                       for gather, column, masks in zip(self.gathers, self.columns, self.lead)]
+            yield h * size, list(reduce(partial(map, add), columns))
+
+    def counts(self) -> tuple:
+        """(counts, record): placements per distinct vector, keyed in order of
+        first occurrence, and each block's distinct keys, block by block."""
+        counts, record = Counter(), []
+        for _, keys in self.blocks():
+            block = Counter(keys)
+            counts.update(block)
+            record.append(tuple(block))
+        return Counter({self.vector(key): number for key, number in counts.items()}), record
+
+    def indices(self, wanted, record=None):
+        """Indices of the placements whose vector is in ``wanted``, in order.
+
+        With the ``record`` of ``counts``, only the blocks that hold a
+        wanted vector are built.
+        """
+        wanted = set(map(self.key, wanted))
+        if not wanted:
+            return iter(())
+        heads = None if record is None else [
+            h for h, keys in enumerate(record) if not wanted.isdisjoint(keys)]
+        return chain.from_iterable(compress(count(start), map(wanted.__contains__, keys))
+                                   for start, keys in self.blocks(heads))
 
 
 def _masks_at(index, n, m, complete_only) -> list:
@@ -207,8 +252,8 @@ def enumerate_allocations(instance: Instance, complete_only: bool = False,
                           budget: int = ENUMERATION_BUDGET):
     """Stream every allocation (including withholding) in lexicographic order."""
     items, tables = _tables(instance, complete_only, budget)
-    for start, vectors in _blocks(tables, len(items), complete_only):
-        for index in range(start, start + len(vectors)):
+    for start, keys in _Walk(tables, len(items), complete_only).blocks():
+        for index in range(start, start + len(keys)):
             yield _allocation_at(instance, items, index, complete_only)
 
 
@@ -257,12 +302,13 @@ def oracle_optimal(instance: Instance, objective: str, convex="sum_squares",
         raise ValueError("unknown objective: %r" % (objective,))
     items, tables = _tables(instance, complete_only, budget)
     key_of = _objective_key(objective, convex)
-    counts = _counts(tables, len(items), complete_only)
+    walk = _Walk(tables, len(items), complete_only)
+    counts, record = walk.counts()
     keys = {vector: key_of(vector) for vector in counts}
     best_vector = max(keys, key=keys.__getitem__, default=None)
     best_key = keys.get(best_vector)
     winners = {vector for vector, key in keys.items() if key == best_key}
-    winner_indices = _indices(tables, len(items), complete_only, winners)
+    winner_indices = walk.indices(winners, record)
     return OracleResult(
         objective=objective,
         optimal_value=_reported_optimum(objective, best_key, best_vector, convex),
@@ -311,12 +357,13 @@ def verify_equivalences(instance: Instance,
     other valuation classes are reported, not raised.
     """
     items, tables = _tables(instance, False, budget)
-    m = len(items)
+    walk = _Walk(tables, len(items), False)
+    counts, record = walk.counts()
 
     def first_allocation(vector):
-        return _allocation_at(instance, items, next(_indices(tables, m, False, {vector})))
+        return _allocation_at(instance, items, next(walk.indices({vector}, record)))
 
-    vectors = set(_counts(tables, m, False))
+    vectors = set(counts)
     max_usw = max(sum(vector) for vector in vectors)
     usw_optimal = {vector for vector in vectors if sum(vector) == max_usw}
     outcomes = []
@@ -366,7 +413,7 @@ def verify_equivalences(instance: Instance,
 
     # (c) Clean optima of either kind are envy-free up to one item.
     violations = {}
-    for index in _indices(tables, m, False, leximin_optima | nash_optima):
+    for index in walk.indices(leximin_optima | nash_optima, record):
         allocation = _allocation_at(instance, items, index)
         if (first_zero_marginal(instance, allocation) is not None
                 or first_ef1_violation(instance, allocation) is None):
@@ -438,7 +485,7 @@ def max_usw_value(instance: Instance, complete_only: bool = False,
                   budget: int = ENUMERATION_BUDGET):
     """Maximum utilitarian welfare over the enumerated allocations."""
     items, tables = _tables(instance, complete_only, budget)
-    return max(map(sum, _counts(tables, len(items), complete_only)))
+    return max(map(sum, _Walk(tables, len(items), complete_only).counts()[0]))
 
 
 def usw_optimal_all_clean_complete(instance: Instance,
@@ -451,10 +498,10 @@ def usw_optimal_all_clean_complete(instance: Instance,
     that withholds an item or is unclean.
     """
     items, tables = _tables(instance, False, budget)
-    m = len(items)
-    counts = _counts(tables, m, False)
+    walk = _Walk(tables, len(items), False)
+    counts, record = walk.counts()
     best = max(map(sum, counts))
-    for index in _indices(tables, m, False, {v for v in counts if sum(v) == best}):
+    for index in walk.indices({v for v in counts if sum(v) == best}, record):
         allocation = _allocation_at(instance, items, index)
         if allocation.withheld or first_zero_marginal(instance, allocation) is not None:
             return False

@@ -19,12 +19,16 @@ has the query only when its inner valuation has it.
 
 Assignment valuations also expose value_with(bundle, item), the value of
 bundle + item found by one alternating-path search from item over bundle's
-maximum-weight matching, instead of a matching from scratch.  It takes that
-matching from a value-only store of the matchings value_with itself grew,
-else from the kernel's witness, and writes the grown one only to the store.
+maximum-weight matching, instead of a matching from scratch; on (0,1)-OXS
+valuations that search is a single augmenting path.  It takes that matching
+from a value-only store of the matchings value_with itself grew, else from
+the kernel's witness, and writes the grown one only to the store.
 Witnesses never come from the store: value() and assignment_value() read
 only the kernel's cache, so the matchings that waste accounting and the
-transfer heuristics see stay the kernel's.
+transfer heuristics see stay the kernel's.  A truncation has value_with
+only when its inner valuation has it.  ``subset_tables`` grows every
+subset from its predecessor by one item through value_with wherever a
+valuation has it, and values each subset afresh otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping
@@ -243,6 +248,26 @@ class BinaryAssignmentValuation(AssignmentValuation):
                 index.setdefault(item, []).append(member)
         return index
 
+    def _augment(self, total, mates, item):
+        """(size, matching) after one augmenting-path search from the
+        unmatched ``item``, depth first, members in order; the inputs when
+        no path reaches a free member."""
+        holder = {member: x for x, member in mates.items()}
+        seen = set()
+
+        def place(x):
+            for member in self._members_of.get(x, ()):
+                if member not in seen:
+                    seen.add(member)
+                    if member not in holder or place(holder[member]):
+                        holder[member] = x
+                        return True
+            return False
+
+        if not place(item):
+            return total, mates
+        return total + 1, {x: member for member, x in holder.items()}
+
     def exchange(self, bundle, items):
         """Sinks and circuits from alternating paths of A's witness matching.
 
@@ -350,6 +375,15 @@ class TruncatedValuation:
         return lambda bundle: (set() if self.inner.value(bundle) > self.cap
                                else coloops(bundle))
 
+    @property
+    def value_with(self):
+        """None unless the inner valuation answers value_with; else its
+        answer, capped."""
+        value_with = getattr(self.inner, "value_with", None)
+        if value_with is None:
+            return None
+        return lambda bundle, item: min(value_with(bundle, item), self.cap)
+
 
 @dataclass(frozen=True)
 class ScaledValuation:
@@ -411,14 +445,24 @@ def subset_tables(valuations, items) -> tuple:
     """(subsets, tables) over every subset of ``items``; bit p stands for items[p].
 
     subsets[mask] is the frozenset and tables[k][mask] its value under the
-    k-th valuation.  The caller bounds the cost of 2^len(items) values each.
+    k-th valuation.  Each subset is its predecessor subsets[mask ^ low] plus
+    its lowest item, and a valuation with value_with grows it so, one item
+    at a time; the others value it afresh.  The caller bounds the cost of
+    2^len(items) values each.
     """
     subsets = [frozenset()] * (1 << len(items))
+    steps = []  # (predecessor, its one new item) for every non-empty subset
     for mask in range(1, len(subsets)):
         low = mask & -mask
-        subsets[mask] = subsets[mask ^ low] | {items[low.bit_length() - 1]}
-    return subsets, [[valuation.value(subset) for subset in subsets]
-                     for valuation in valuations]
+        parent, item = subsets[mask ^ low], items[low.bit_length() - 1]
+        steps.append((parent, item))
+        subsets[mask] = parent | {item}
+    tables = []
+    for valuation in valuations:
+        grow = getattr(valuation, "value_with", None)
+        tables.append([valuation.value(subset) for subset in subsets] if grow is None
+                      else [valuation.value(subsets[0]), *starmap(grow, steps)])
+    return subsets, tables
 
 
 @dataclass(frozen=True)
@@ -449,7 +493,10 @@ def verify_matroid_rank(valuation, items, limit: int = EXHAUSTIVE_LIMIT) -> Rank
     The scan is exact and exponential; instances with more than ``limit``
     items are refused with BudgetExceeded rather than silently sampled.
     The first counterexample in deterministic scan order (subsets by
-    ascending bitmask, items by ascending index) is reported.
+    ascending bitmask, items by ascending index) is reported.  Once every
+    gain is 0 or 1, each subset's gain-1 items are one bitset, and a
+    subset's submodularity violations are its gain-0 items that have gain 1
+    in some subset one item larger.
     """
     items = list(items)
     m = len(items)
@@ -462,52 +509,52 @@ def verify_matroid_rank(valuation, items, limit: int = EXHAUSTIVE_LIMIT) -> Rank
     if table[0] != 0:
         return RankReport(False, "empty value", {"value": table[0]}, checked)
 
-    for mask in range(2**m):
-        for k in range(m):
-            bit = 1 << k
-            if mask & bit:
-                continue
+    # ones[mask]: the items outside mask with gain 1; every other gain is 0
+    full = (1 << m) - 1
+    ones = [0] * (1 << m)
+    for mask in range(1 << m):
+        free = full ^ mask
+        while free:
+            bit = free & -free
+            free ^= bit
             gain = table[mask | bit] - table[mask]
-            if gain < 0:
+            if gain == 1:
+                ones[mask] |= bit
+            elif gain != 0:
                 return RankReport(
                     False,
-                    "monotonicity",
-                    {"subset": subset[mask], "item": items[k], "gain": gain},
-                    checked,
-                )
-            if gain not in (0, 1):
-                return RankReport(
-                    False,
-                    "binary marginals",
-                    {"subset": subset[mask], "item": items[k], "gain": gain},
+                    "monotonicity" if gain < 0 else "binary marginals",
+                    {"subset": subset[mask], "item": items[bit.bit_length() - 1],
+                     "gain": gain},
                     checked,
                 )
 
-    # local submodularity: adding context never raises a marginal gain
-    for mask in range(2**m):
-        for k in range(m):
-            bit = 1 << k
-            if mask & bit:
-                continue
-            gain_here = table[mask | bit] - table[mask]
-            for k2 in range(m):
-                bit2 = 1 << k2
-                if k2 == k or mask & bit2:
-                    continue
-                gain_later = table[mask | bit2 | bit] - table[mask | bit2]
-                if gain_here < gain_later:
-                    return RankReport(
-                        False,
-                        "submodularity",
-                        {
-                            "subset": subset[mask],
-                            "item": items[k],
-                            "context_item": items[k2],
-                            "gain_without": gain_here,
-                            "gain_with": gain_later,
-                        },
-                        checked,
-                    )
+    # local submodularity: an item of gain 0 at mask keeps gain 0 at mask + k2.
+    # No k2 needs skipping: ones[mask | k2] lacks k2, and is ones[mask] for k2 in mask.
+    bits = [1 << k for k in range(m)]
+    for mask in range(1 << m):
+        zeros = full & ~mask & ~ones[mask]
+        if not zeros:
+            continue
+        raised = 0
+        for bit2 in bits:
+            raised |= ones[mask | bit2]
+        raised &= zeros
+        if raised:
+            bit = raised & -raised
+            bit2 = next(bit2 for bit2 in bits if ones[mask | bit2] & bit)
+            return RankReport(
+                False,
+                "submodularity",
+                {
+                    "subset": subset[mask],
+                    "item": items[bit.bit_length() - 1],
+                    "context_item": items[bit2.bit_length() - 1],
+                    "gain_without": table[mask | bit] - table[mask],
+                    "gain_with": table[mask | bit2 | bit] - table[mask | bit2],
+                },
+                checked,
+            )
     return RankReport(True, subsets_checked=checked)
 
 

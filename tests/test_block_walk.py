@@ -14,17 +14,18 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from rankfair.core import Allocation, Instance, is_clean
 from rankfair.fairness import check_po_bruteforce, ef1_pair, mms_share
-from rankfair.oracle import (OBJECTIVES, _counts, _objective_key, _reported_optimum,
+from rankfair.oracle import (OBJECTIVES, _Walk, _objective_key, _reported_optimum,
                              _tables, enumerate_allocations, leximin_key,
                              max_usw_value, nash_key, oracle_optimal,
                              usw_optimal_all_clean_complete, verify_equivalences)
-from rankfair.valuations import BinaryAdditiveValuation, ScaledValuation
+from rankfair.valuations import (BinaryAdditiveValuation, BinaryAssignmentValuation,
+                                 ScaledValuation)
 
 import fixtures as fx
 from randgen import random_matroid_instance, random_scaled_instance
@@ -159,7 +160,7 @@ def test_block_walk_matches_the_per_placement_loop(index, complete_only):
         allocation for allocation, _ in scan]
 
     items, tables = _tables(inst, complete_only, 10 ** 6)
-    counts = _counts(tables, len(items), complete_only)
+    counts = _Walk(tables, len(items), complete_only).counts()[0]
     assert list(counts.items()) == list(Counter(vector for _, vector in scan).items())
 
     for objective in OBJECTIVES:
@@ -207,6 +208,35 @@ def test_po_mms_and_equivalences_match_the_per_placement_loop(index):
         assert outcome.ok == (counterexample is None), name
         if counterexample is not None:
             assert outcome.counterexample["allocation"] == counterexample, name
+
+
+def test_block_record_skips_only_blocks_without_a_winner():
+    # 64 blocks, one per placement of o1..o3.  Only g3 values those items,
+    # so every utilitarian winner sits in block 42 (o1..o3 all with g3).
+    items = tuple("o%d" % k for k in range(1, 8))
+    inst = Instance(agents=("g1", "g2", "g3"), items=items, valuations={
+        "g1": BinaryAdditiveValuation({"o4", "o5", "o6"}),
+        "g2": BinaryAssignmentValuation({"m1": {"o6", "o7"}, "m2": {"o7"}}),
+        "g3": BinaryAdditiveValuation({"o1", "o2", "o3", "o7"})})
+    items, tables = _tables(inst, False, 10 ** 6)
+    walk = _Walk(tables, len(items), False)
+    counts, record = walk.counts()
+    assert len(record) == 64
+    skipped = 0
+    for objective in OBJECTIVES:
+        key_of = _objective_key(objective, "sum_squares")
+        best = max(map(key_of, counts))
+        winners = {vector for vector in counts if key_of(vector) == best}
+        wanted = set(map(walk.key, winners))
+        holding = [h for h, keys in enumerate(record) if not wanted.isdisjoint(keys)]
+        skipped += 64 - len(holding)
+        for cap in (1, 2, 64):
+            assert (list(islice(walk.indices(winners, record), cap))
+                    == list(islice(walk.indices(winners), cap)))
+        assert list(walk.indices(winners, record)) == list(walk.indices(winners))
+        if objective == "usw":
+            assert holding == [42]
+    assert skipped > 64
 
 
 def test_scaled_pair_counterexample_is_the_first_clean_leximin_optimum():

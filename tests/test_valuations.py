@@ -174,6 +174,57 @@ def test_value_with_matches_the_kernel(monkeypatch):
     assert cases >= 2000
 
 
+def _table_valuation_maker(rng, items):
+    """(kind, make): make() builds a fresh copy of one seeded valuation.
+
+    A transversal, truncated transversal (cap 0 to m), weighted assignment
+    or scaled transversal valuation over items, with some members that take
+    no item and some items that no member takes.
+    """
+    members = ["m%d" % k for k in range(rng.randint(0, 4))]
+    untaken = set(rng.sample(items, rng.randint(0, len(items) // 2)))
+    rows = {mb: {it for it in items if it not in untaken and rng.random() < 0.45}
+            for mb in members}
+    if members and rng.random() < 0.5:
+        rows[rng.choice(members)] = set()
+    weights = {mb: {it: rng.choice((1, 2, 3, Fraction(1, 2), Fraction(5, 3)))
+                    for it in row} for mb, row in rows.items()}
+    cap, lam = rng.randint(0, len(items)), rng.choice((2, Fraction(3, 2)))
+    kind = rng.choice(("transversal", "truncated", "weighted", "scaled"))
+    if kind == "weighted":
+        return kind, lambda: AssignmentValuation(members, weights)
+    if kind == "truncated":
+        return kind, lambda: TruncatedValuation(BinaryAssignmentValuation(rows), cap)
+    if kind == "scaled":
+        return kind, lambda: ScaledValuation(BinaryAssignmentValuation(rows), lam)
+    return kind, lambda: BinaryAssignmentValuation(rows)
+
+
+def test_grown_tables_match_per_subset_values():
+    """Tables grown one item at a time hold what value() gives each subset,
+    with the same number types, and leave the kernel's witnesses alone."""
+    rng = random.Random(9090)
+    kinds = set()
+    for _ in range(240):
+        items = ["o%d" % k for k in range(rng.randint(0, 7))]
+        kind, make = _table_valuation_maker(rng, items)
+        kinds.add(kind)
+        valuation, fresh = make(), make()
+        subsets, (table,) = valuations.subset_tables([valuation], items)
+        assert list(map(repr, table)) == [repr(fresh.value(s)) for s in subsets], kind
+        kernel = getattr(valuation, "inner", valuation)
+        fresh_kernel = getattr(fresh, "inner", fresh)
+        for bundle in rng.sample(subsets, min(8, len(subsets))):
+            assert kernel.assignment_value(bundle) == fresh_kernel.assignment_value(bundle)
+    assert kinds == {"transversal", "truncated", "weighted", "scaled"}
+
+
+def test_truncation_grows_only_what_its_inner_valuation_grows():
+    assert TruncatedValuation(BinaryAdditiveValuation({"a"}), 1).value_with is None
+    capped = TruncatedValuation(BinaryAssignmentValuation({"m": {"a", "b"}, "n": {"b"}}), 1)
+    assert capped.value_with(frozenset({"a"}), "b") == 1
+
+
 def test_binary_assignment_is_transversal_rank():
     v = BinaryAssignmentValuation({"m1": {"a", "b"}, "m2": {"b"}})
     assert v.value({"a"}) == 1
