@@ -241,8 +241,18 @@ def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tupl
 
     i passes when it does not envy j (item None), or when removing some item
     of A_j ends the envy; item is then the first such item in index order.
+    The verdict is ``_ef1_verdict``'s.
+    """
+    valuation = instance.valuation(i)
+    return _ef1_verdict(instance, valuation, valuation.value(allocation.bundle(i)),
+                        allocation.bundle(j))
 
-    When i's valuation answers ``coloops`` (a matroid rank function whose
+
+def _ef1_verdict(instance: Instance, valuation, own, theirs: frozenset) -> tuple:
+    """``ef1_pair``'s (ok, item) for an agent with ``valuation`` who values
+    its own bundle at ``own``, against the bundle ``theirs``.
+
+    When the valuation answers ``coloops`` (a matroid rank function whose
     matroid is explicit), the verdict comes from that structure: v_i(A_j)
     is at most |A_j|, and v_i(A_j - o) is v_i(A_j) - 1 exactly when o is a
     coloop of A_j and v_i(A_j) otherwise.  So own >= |A_j| needs no value
@@ -251,9 +261,6 @@ def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tupl
     since then every item is one).  Other valuations value A_j minus each
     item in turn.
     """
-    valuation = instance.valuation(i)
-    own = valuation.value(allocation.bundle(i))
-    theirs = allocation.bundle(j)
     coloops = getattr(valuation, "coloops", None)
     if coloops is not None and own >= len(theirs):
         return True, None
@@ -276,11 +283,14 @@ def ef1_pair(instance: Instance, allocation: Allocation, i: str, j: str) -> tupl
 def first_ef1_violation(instance: Instance, allocation: Allocation):
     """First ordered pair (i, j), in instance order, where i is not EF1 of j.
 
-    None when the allocation is EF1.
+    None when the allocation is EF1.  Each agent's own bundle is valued once.
     """
-    for i in instance.agents:
-        for j in instance.agents:
-            if i != j and not ef1_pair(instance, allocation, i, j)[0]:
+    bundles = [allocation.bundle(a) for a in instance.agents]
+    for i, own_bundle in zip(instance.agents, bundles):
+        valuation = instance.valuation(i)
+        own = valuation.value(own_bundle)
+        for j, theirs in zip(instance.agents, bundles):
+            if i != j and not _ef1_verdict(instance, valuation, own, theirs)[0]:
                 return i, j
     return None
 

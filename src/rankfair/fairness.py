@@ -6,9 +6,15 @@ WPROP1, equitability up to c items, maximin share, brute-force Pareto
 optimality) are computed by dedicated functions; the exhaustive ones refuse
 to run past an explicit enumeration budget instead of silently degrading.
 The EF1 flag and witness of a pair come from ``core.ef1_pair``, the
-package's one EF1 rule.  Pareto optimality and the maximin share run on the
-enumeration oracle's block walk over bitmask value tables
-(``oracle._Walk``) and decide on the distinct value vectors it yields.
+package's one EF1 rule.
+
+Pareto optimality and the maximin share both ask whether some allocation
+gives each agent a a value of at least c_a.  For the families that
+``valuations.is_matroid_rank_family`` vouches for, one matroid intersection
+over the valuations truncated at c answers it (``_reaches``); the others
+run on the enumeration oracle's block walk (``oracle._Walk``), which also
+names every Pareto witness.  Both paths refuse past the walk's enumeration
+budget (``oracle._gate``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from math import comb
 from typing import Mapping, Optional
 
 from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance, ef1_pair
-from .oracle import _Walk, _allocation_at, _dominates, _tables
+from .matroid_intersection import max_common_independent_set
+from .oracle import _Walk, _allocation_at, _dominates, _gate, _tables
+from .valuations import TruncatedValuation, is_matroid_rank_family
 
 
 @dataclass(frozen=True)
@@ -228,17 +236,52 @@ def min_eqc(instance: Instance, allocation: Allocation,
     raise AssertionError("equitability scan failed to terminate")
 
 
+def _reaches(instance: Instance, valuations, targets) -> bool:
+    """Whether some allocation gives the k-th agent at least ``targets[k]``
+    under ``valuations[k]``, for every k; all are matroid rank functions.
+
+    Runs one intersection over the truncations at the targets: its clean
+    optimum is worth sum(targets) exactly when such an allocation exists.
+    """
+    capped = Instance(instance.agents, instance.items, {
+        agent: TruncatedValuation(valuation, target)
+        for agent, valuation, target in zip(instance.agents, valuations, targets)})
+    best = max_common_independent_set(capped)
+    return sum(map(len, best.bundles.values())) == sum(targets)
+
+
+_MMS_SCAN = "maximin-share partition enumeration"
+
+
+def _mms_scan(instance: Instance, valuation, budget: int = ENUMERATION_BUDGET):
+    """``valuation``'s maximin share by a scan of all n^m complete placements
+    over its one value table, read for every part."""
+    items, tables = _tables(instance, True, budget, [valuation], _MMS_SCAN)
+    return max(map(min, _Walk(tables * instance.n, len(items), True).counts()[0]),
+               default=None)
+
+
 def mms_share(instance: Instance, agent: str, budget: int = ENUMERATION_BUDGET):
     """Maximin share: best over complete n-partitions of the worst part.
 
     Parts may be empty, so the share is 0 whenever there are fewer items
-    than agents.  Scans all n^m complete placements over one value table,
-    the agent's own, read for every part; refuses over budget.
+    than agents.  Refuses over the budget of a scan of all n^m complete
+    placements, whichever path answers.  For the matroid rank families the
+    share is the largest t for which the items hold n disjoint independent
+    sets of size t, found by ``_reaches`` for t = 1, 2, ... up to
+    min(m // n, v(M)), stopping at the first failure.  (A bound of
+    v(M) // n would be wrong: four items of a rank-3 matroid can still give
+    each of 4 parts value 1.)  Other valuations are answered by that scan.
     """
-    items, tables = _tables(instance, True, budget, [instance.valuation(agent)],
-                            "maximin-share partition enumeration")
-    return max(map(min, _Walk(tables * instance.n, len(items), True).counts()[0]),
-               default=None)
+    valuation = instance.valuation(agent)
+    if not is_matroid_rank_family(valuation):
+        return _mms_scan(instance, valuation, budget)
+    _gate(instance, True, budget, _MMS_SCAN)
+    n, share = instance.n, 0
+    top = min(instance.m // n, valuation.value(frozenset(instance.items)))
+    while share < top and _reaches(instance, [valuation] * n, [share + 1] * n):
+        share += 1
+    return share
 
 
 def check_mms(instance: Instance, allocation: Allocation,
@@ -256,18 +299,11 @@ def check_mms(instance: Instance, allocation: Allocation,
     return entries
 
 
-def check_po_bruteforce(instance: Instance, allocation: Allocation,
-                        budget: int = ENUMERATION_BUDGET):
-    """Exhaustive Pareto test over all (n+1)^m placements.
-
-    Returns (True, None) when nothing dominates the allocation, otherwise
-    (False, witness) with the first dominating allocation in enumeration
-    order (items in index order, each placed with agent 1, agent 2, ...,
-    withheld last).
-    """
+def _first_dominating(instance: Instance, current, budget: int = ENUMERATION_BUDGET):
+    """The first allocation in enumeration order whose value vector
+    dominates ``current``, or None, by a scan of all (n+1)^m placements."""
     items, tables = _tables(instance, False, budget)
     walk = _Walk(tables, len(items), False)
-    current = tuple(instance.value(i, allocation.bundle(i)) for i in instance.agents)
     seen = set()  # keys of earlier blocks, none of which dominates
     for start, keys in walk.blocks():
         fresh = set(keys) - seen
@@ -275,8 +311,33 @@ def check_po_bruteforce(instance: Instance, allocation: Allocation,
         dominating = {key for key in fresh if _dominates(walk.vector(key), current)}
         if dominating:
             index = next(compress(count(start), map(dominating.__contains__, keys)))
-            return False, _allocation_at(instance, items, index)
-    return True, None
+            return _allocation_at(instance, items, index)
+    return None
+
+
+def check_po_bruteforce(instance: Instance, allocation: Allocation,
+                        budget: int = ENUMERATION_BUDGET):
+    """Pareto test against all (n+1)^m placements.
+
+    Returns (True, None) when nothing dominates the allocation, otherwise
+    (False, witness) with the first dominating allocation in enumeration
+    order (items in index order, each placed with agent 1, agent 2, ...,
+    withheld last).  Refuses over the budget of that scan, whichever path
+    answers.  For the matroid rank families, the allocation with values c
+    is dominated iff ``_reaches`` c + e_k for some agent k, and the scan
+    runs only to name the witness of a dominated allocation; other
+    valuations are answered by the scan.
+    """
+    _gate(instance, False, budget)
+    valuations = [instance.valuation(agent) for agent in instance.agents]
+    current = tuple(valuation.value(allocation.bundle(agent))
+                    for agent, valuation in zip(instance.agents, valuations))
+    if all(map(is_matroid_rank_family, valuations)) and not any(
+            _reaches(instance, valuations, current[:k] + (c + 1,) + current[k + 1:])
+            for k, c in enumerate(current)):
+        return True, None
+    witness = _first_dominating(instance, current, budget)
+    return witness is None, witness
 
 
 def full_report(instance: Instance, allocation: Allocation,

@@ -8,8 +8,9 @@ placements exceeds an explicit budget: this module is a measuring
 instrument for tests, not a solver.
 
 ``_Walk`` over the bitmask value tables of ``_tables`` is the package's
-one placement walk: the brute-force Pareto and maximin-share checkers of
-``fairness`` run on it too.  It fixes the leading half of the items per
+one placement walk: ``fairness`` runs on it too, to name Pareto witnesses
+and to check valuations outside the matroid rank families, behind the
+same budget gate (``_gate``).  It fixes the leading half of the items per
 block and gathers the keys of every placement of the trailing half with
 ``itemgetter``, one int per value vector.  Checks decide on the distinct
 vectors, which one counting walk gathers (``_Walk.counts``), together
@@ -123,19 +124,27 @@ class EquivalenceReport:
         raise KeyError(name)
 
 
+def _gate(instance: Instance, complete_only: bool, budget: int,
+          what: str = "allocation enumeration") -> None:
+    """Refuse with BudgetExceeded(what, ...) when a scan of the instance's
+    placements (withholding allowed unless complete_only) exceeds budget."""
+    base = instance.n if complete_only else instance.n + 1
+    if base ** instance.m > budget:
+        raise BudgetExceeded(what, base ** instance.m, budget)
+
+
 def _tables(instance: Instance, complete_only: bool, budget: int, valuations=None,
             what: str = "allocation enumeration"):
     """(items, tables): a value table per valuation, the agents' by default.
 
-    Refuses with BudgetExceeded(what, ...) when the scan would exceed budget
-    placements.  Bit p of a mask stands for the p-th item in index order.
-    With a single placement (one agent, no withholding) a table holds only
-    the full mask; otherwise 2^m <= base^m <= budget and it covers every subset.
+    Passes ``_gate`` first.  Bit p of a mask stands for the p-th item in
+    index order.  With a single placement (one agent, no withholding) a
+    table holds only the full mask; otherwise 2^m <= base^m <= budget and it
+    covers every subset.
     """
+    _gate(instance, complete_only, budget, what)
     items = instance.items
     base = instance.n if complete_only else instance.n + 1
-    if base ** len(items) > budget:
-        raise BudgetExceeded(what, base ** len(items), budget)
     if valuations is None:
         valuations = [instance.valuation(agent) for agent in instance.agents]
     if base < 2:
