@@ -305,10 +305,11 @@ def _first_dominating(instance: Instance, current, budget: int = ENUMERATION_BUD
     items, tables = _tables(instance, False, budget)
     walk = _Walk(tables, len(items), False)
     seen = set()  # keys of earlier blocks, none of which dominates
-    for start, keys in walk.blocks():
-        fresh = set(keys) - seen
-        seen |= fresh
-        dominating = {key for key in fresh if _dominates(walk.vector(key), current)}
+    for start, keys in walk.blocks(walk.firsts()):  # a repeated shape holds no fresh key
+        fresh = list(set(keys) - seen)
+        seen.update(fresh)
+        dominating = {key for key, vector in zip(fresh, walk.vectors(fresh))
+                      if _dominates(vector, current)}
         if dominating:
             index = next(compress(count(start), map(dominating.__contains__, keys)))
             return _allocation_at(instance, items, index)

@@ -12,12 +12,16 @@ one placement walk: ``fairness`` runs on it too, to name Pareto witnesses
 and to check valuations outside the matroid rank families, behind the
 same budget gate (``_gate``).  It fixes the leading half of the items per
 block and gathers the keys of every placement of the trailing half with
-``itemgetter``, one int per value vector.  Checks decide on the distinct
-vectors, which one counting walk gathers (``_Walk.counts``), together
-with a record of each block's distinct keys.  A placement is decoded from
-its index (``_allocation_at``) to name a witness, in enumeration order, or
-when a check needs more than its vector; ``_Walk.indices`` finds those
-indices by rebuilding only the blocks whose record holds a wanted vector.
+``itemgetter``, one int per value vector.  An agent's trailing column
+depends only on its own leading items, so a block's keys depend only on
+its *shape*, the tuple of its agents' distinct-column numbers; each shape
+is summed and counted once.  Checks decide on the distinct vectors, which
+one counting walk gathers (``_Walk.counts``), together with a record of
+each block's distinct keys.  A placement is decoded from its index
+(``_allocation_at``) to name a witness, in enumeration order, or when a
+check needs more than its vector; ``_Walk.indices`` finds those indices by
+rebuilding only the blocks whose record holds a wanted vector, once per
+shape.
 Cleanliness and EF1 are then asked of ``core``'s predicates
 (``first_zero_marginal``, ``first_ef1_violation``) on the decoded
 allocation, so the theorem checks test the same rules as the solvers and
@@ -32,8 +36,8 @@ valuation classes is how the expected failures are demonstrated.
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, compress, count, islice
-from operator import add, itemgetter
+from itertools import compress, count, islice
+from operator import add, getitem, itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance,
@@ -177,11 +181,18 @@ class _Walk:
     number_k(v_k) * radix**k.  A block's keys are then the elementwise sums
     of the agents' gathered key columns, and the checks count and test one
     int per placement instead of a tuple.
+
+    Agent k's column in a block depends only on agent k's own leading
+    mask, so each agent gathers one column per leading mask, and equal
+    columns share one number.  A block's *shape* is the tuple of its
+    agents' column numbers, and blocks of one shape hold the same keys:
+    the walk sums and counts each distinct shape once, and a repeated
+    shape holds no key that its first block lacks.
     """
 
     def __init__(self, tables, m, complete_only):
         n = len(tables)
-        self.m, self.base = m, n if complete_only else n + 1
+        self.base = n if complete_only else n + 1
         if self.base < 2:  # at most one placement; a one-agent table holds only it
             tables = [[table[(1 << m) - 1]] for table in tables]
         self.values = [list(dict.fromkeys(table)) for table in tables]
@@ -189,56 +200,88 @@ class _Walk:
         self.powers = [self.radix ** k for k in range(n)]
         self.numbers = [{value: number * power for number, value in enumerate(values)}
                         for values, power in zip(self.values, self.powers)]
-        self.columns = [list(map(numbers.__getitem__, table))
-                        for numbers, table in zip(self.numbers, tables)]
-        self.head = m // 2
-        self.lead = _digit_masks(n, self.base, self.head)
-        self.gathers = [itemgetter(*masks)
-                        for masks in _digit_masks(n, self.base, m - self.head)]
+        head = m // 2
+        if self.base < 2 or not m:  # one block: a column of zeros, one key per placement
+            self.size = self.base ** m
+            self.columns, self.shapes = [[[0] * self.size]], [(0,)]
+            return
+        self.size, self.columns, numbered = self.base ** (m - head), [], []
+        for numbers, table, masks in zip(self.numbers, tables,
+                                         _digit_masks(n, self.base, m - head)):
+            column, gather = list(map(numbers.__getitem__, table)), itemgetter(*masks)
+            distinct = {}  # gathered column -> its number, in order of first gather
+            numbered.append([distinct.setdefault(gather(column[lead::1 << head]), len(distinct))
+                             for lead in range(1 << head)])
+            self.columns.append(list(distinct))
+        self.shapes = list(zip(*(map(number.__getitem__, lead) for number, lead
+                                 in zip(numbered, _digit_masks(n, self.base, head)))))
 
-    def vector(self, key) -> tuple:
-        return tuple(values[key // power % self.radix]
-                     for values, power in zip(self.values, self.powers))
+    def vectors(self, keys):
+        """The value vectors of the list ``keys``, in order."""
+        if not self.values:
+            return iter([()] * len(keys))
+        return zip(*(map(values.__getitem__, [key // power % self.radix for key in keys])
+                     for values, power in zip(self.values, self.powers)))
 
     def key(self, vector) -> int:
         return sum(numbers[value] for numbers, value in zip(self.numbers, vector))
 
+    def keys(self, shape) -> list:
+        """The keys of every block of ``shape``, in order."""
+        return list(reduce(partial(map, add), map(getitem, self.columns, shape)))
+
+    def firsts(self) -> list:
+        """The numbers of the blocks whose shape no earlier block has."""
+        firsts = {}
+        for h, shape in enumerate(self.shapes):
+            firsts.setdefault(shape, h)
+        return list(firsts.values())
+
     def blocks(self, heads=None):
         """Yield (start, keys) per block, in order; ``heads``, when given,
         lists the numbers of the only blocks to build, ascending."""
-        if self.base < 2 or not self.m:
-            if heads is None or 0 in heads:
-                yield 0, [0] * self.base ** self.m
-            return
-        size = self.base ** (self.m - self.head)
-        for h in range(self.base ** self.head) if heads is None else heads:
-            columns = [gather(column[masks[h]::1 << self.head])
-                       for gather, column, masks in zip(self.gathers, self.columns, self.lead)]
-            yield h * size, list(reduce(partial(map, add), columns))
+        for h in range(len(self.shapes)) if heads is None else heads:
+            yield h * self.size, self.keys(self.shapes[h])
 
     def counts(self) -> tuple:
         """(counts, record): placements per distinct vector, keyed in order of
-        first occurrence, and each block's distinct keys, block by block."""
-        counts, record = Counter(), []
-        for _, keys in self.blocks():
-            block = Counter(keys)
-            counts.update(block)
-            record.append(tuple(block))
-        return Counter({self.vector(key): number for key, number in counts.items()}), record
+        first occurrence, and each block's distinct keys, block by block.
+
+        Shapes are counted in order of first appearance, which keeps that
+        order; blocks of one shape share one record entry.
+        """
+        counts, record = Counter(), {}
+        for shape, times in Counter(self.shapes).items():
+            block = Counter(self.keys(shape))
+            counts.update(block if times == 1 else
+                          {key: number * times for key, number in block.items()})
+            record[shape] = tuple(block)
+        return (Counter(dict(zip(self.vectors(list(counts)), counts.values()))),
+                list(map(record.__getitem__, self.shapes)))
 
     def indices(self, wanted, record=None):
-        """Indices of the placements whose vector is in ``wanted``, in order.
+        """Yield the indices of the placements whose vector is in ``wanted``,
+        in order.
 
         With the ``record`` of ``counts``, only the blocks that hold a
-        wanted vector are built.
+        wanted vector are built.  A shape's wanted positions are found once
+        and kept until its last such block.
         """
         wanted = set(map(self.key, wanted))
         if not wanted:
-            return iter(())
-        heads = None if record is None else [
+            return
+        heads = range(len(self.shapes)) if record is None else [
             h for h, keys in enumerate(record) if not wanted.isdisjoint(keys)]
-        return chain.from_iterable(compress(count(start), map(wanted.__contains__, keys))
-                                   for start, keys in self.blocks(heads))
+        left, found = Counter(map(self.shapes.__getitem__, heads)), {}
+        for h in heads:
+            shape = self.shapes[h]
+            left[shape] -= 1
+            at = found.pop(shape, None)
+            if at is None:
+                at = list(compress(count(), map(wanted.__contains__, self.keys(shape))))
+            if left[shape]:
+                found[shape] = at
+            yield from map((h * self.size).__add__, at)
 
 
 def _masks_at(index, n, m, complete_only) -> list:

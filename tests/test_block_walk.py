@@ -14,18 +14,21 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import islice, product
+from operator import add, itemgetter
 
 import pytest
 
+from rankfair import oracle
 from rankfair.core import Allocation, Instance, is_clean
 from rankfair.fairness import check_po_bruteforce, ef1_pair, mms_share
-from rankfair.oracle import (OBJECTIVES, _Walk, _objective_key, _reported_optimum,
-                             _tables, enumerate_allocations, leximin_key,
-                             max_usw_value, nash_key, oracle_optimal,
+from rankfair.oracle import (OBJECTIVES, _digit_masks, _Walk, _objective_key,
+                             _reported_optimum, _tables, enumerate_allocations,
+                             leximin_key, max_usw_value, nash_key, oracle_optimal,
                              usw_optimal_all_clean_complete, verify_equivalences)
-from rankfair.valuations import (BinaryAdditiveValuation, BinaryAssignmentValuation,
-                                 ScaledValuation)
+from rankfair.valuations import (AssignmentValuation, BinaryAdditiveValuation,
+                                 BinaryAssignmentValuation, ScaledValuation)
 
 import fixtures as fx
 from randgen import random_matroid_instance, random_scaled_instance
@@ -137,6 +140,20 @@ def _cases():
     # Not monotone: its utilitarian optima are clean but withhold an item.
     drop = _Table({frozenset({"o1"}): 1, frozenset({"o2"}): 1})
     cases.append(Instance(agents=("p1",), items=("o1", "o2"), valuations={"p1": drop}))
+    # Every block its own shape: weights 2^p make each bundle's value its mask.
+    items = tuple("o%d" % k for k in range(1, 7))
+    masks = {item: {item: 2 ** p} for p, item in enumerate(items)}
+    cases.append(Instance(agents=("p1", "p2"), items=items, valuations={
+        agent: AssignmentValuation(items, masks) for agent in ("p1", "p2")}))
+    # Many blocks of one shape: an agent that values none of the leading items
+    # gathers a single column.
+    cases.append(Instance(agents=("p1", "p2"), items=items, valuations={
+        "p1": BinaryAdditiveValuation({"o4", "o6"}),
+        "p2": BinaryAdditiveValuation({"o1", "o2", "o5"})}))
+    cases.append(Instance(agents=("g1", "g2", "g3"), items=items[:5], valuations={
+        "g1": BinaryAdditiveValuation({"o4", "o5"}),
+        "g2": BinaryAssignmentValuation({"m1": {"o1", "o3"}, "m2": {"o3", "o5"}}),
+        "g3": BinaryAdditiveValuation(set())}))
     return cases
 
 
@@ -149,6 +166,49 @@ def test_cases_cover_the_walks_edge_shapes():
     assert any(isinstance(value, Fraction)
                for inst in CASES for _, vector in _reference_scan(inst, False)
                for value in vector)
+
+
+def _reference_blocks(walk, tables, m, complete_only):
+    """Each block's keys, gathered afresh for every block from the walk's
+    key numbers, as the walk did before blocks shared their shapes."""
+    n, base = len(tables), len(tables) if complete_only else len(tables) + 1
+    if base < 2 or not m:
+        return [[0] * base ** m]
+    head = m // 2
+    columns = [list(map(numbers.__getitem__, table))
+               for numbers, table in zip(walk.numbers, tables)]
+    lead = _digit_masks(n, base, head)
+    gathers = [itemgetter(*masks) for masks in _digit_masks(n, base, m - head)]
+    return [list(reduce(partial(map, add), [
+        gather(column[masks[h]::1 << head])
+        for gather, column, masks in zip(gathers, columns, lead)]))
+        for h in range(base ** head)]
+
+
+def test_cases_cover_distinct_and_shared_shapes():
+    def shapes(inst):
+        items, tables = _tables(inst, False, 10 ** 6)
+        return _Walk(tables, len(items), False).shapes
+
+    distinct, shared, three = map(shapes, CASES[-3:])
+    assert len(distinct) == len(set(distinct)) == 27
+    assert len(shared) == 27 and len(set(shared)) == 3
+    assert len(three) == 16 and len(set(three)) == 2
+
+
+@pytest.mark.parametrize("complete_only", [False, True])
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_record_holds_each_blocks_distinct_keys(index, complete_only):
+    inst = CASES[index]
+    items, tables = _tables(inst, complete_only, 10 ** 6)
+    walk = _Walk(tables, len(items), complete_only)
+    reference = _reference_blocks(walk, tables, len(items), complete_only)
+    assert [keys for _, keys in walk.blocks()] == reference
+    assert [start for start, _ in walk.blocks()] == [
+        h * len(reference[0]) for h in range(len(reference))]
+    counts, record = walk.counts()
+    assert record == [tuple(dict.fromkeys(keys)) for keys in reference]
+    assert sum(counts.values()) == sum(map(len, reference))
 
 
 @pytest.mark.parametrize("complete_only", [False, True])
@@ -237,6 +297,67 @@ def test_block_record_skips_only_blocks_without_a_winner():
         if objective == "usw":
             assert holding == [42]
     assert skipped > 64
+
+
+def test_counts_sums_each_shape_once_and_gathers_each_mask_once(monkeypatch):
+    # The instance of test_block_record_skips_only_blocks_without_a_winner:
+    # g1 and g2 value none of o1..o3, so each gathers one column, and g3's
+    # column depends on how many of them it holds.
+    items = tuple("o%d" % k for k in range(1, 8))
+    inst = Instance(agents=("g1", "g2", "g3"), items=items, valuations={
+        "g1": BinaryAdditiveValuation({"o4", "o5", "o6"}),
+        "g2": BinaryAssignmentValuation({"m1": {"o6", "o7"}, "m2": {"o7"}}),
+        "g3": BinaryAdditiveValuation({"o1", "o2", "o3", "o7"})})
+    items, tables = _tables(inst, False, 10 ** 6)
+    gathered, built = [], []
+
+    def counting_itemgetter(*masks):
+        gather, calls = itemgetter(*masks), []
+        gathered.append(calls)
+        return lambda column: calls.append(None) or gather(column)
+
+    keys = _Walk.keys
+    monkeypatch.setattr(oracle, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(_Walk, "keys",
+                        lambda self, shape: built.append(shape) or keys(self, shape))
+    walk = _Walk(tables, len(items), False)
+    assert list(map(len, gathered)) == [2 ** 3] * 3
+    counts = walk.counts()[0]
+    assert len(walk.shapes) == 64 and built == list(dict.fromkeys(walk.shapes))
+    assert len(built) == 4
+    assert sum(counts.values()) == 4 ** 7
+
+
+class _Mirror:
+    """Worth 1 exactly when the bundle is non-empty and its trailing five
+    items mirror its leading five."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def value(self, bundle):
+        held = [item in bundle for item in self.items]
+        return int(any(held) and held[:5] == held[5:])
+
+
+def test_counts_keeps_no_block_key_lists():
+    # Each agent's column differs for each of its 32 leading masks, so all
+    # 4^5 blocks have their own shape, yet there are only 8 vectors.
+    items = tuple("o%d" % k for k in range(1, 11))
+    agents = ("g1", "g2", "g3")
+    inst = Instance(agents=agents, items=items,
+                    valuations={agent: _Mirror(items) for agent in agents})
+    items, tables = _tables(inst, False, 4 ** 10)
+    tracemalloc.start()
+    try:
+        walk = _Walk(tables, len(items), False)
+        counts, record = walk.counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set(walk.shapes)) == len(record) == 4 ** 5
+    assert len(counts) == 8 and sum(counts.values()) == 4 ** 10
+    assert peak < 5 * 2 ** 20
 
 
 def test_scaled_pair_counterexample_is_the_first_clean_leximin_optimum():
