@@ -20,8 +20,7 @@ one counting walk gathers (``_Walk.counts``), together with a record of
 each block's distinct keys.  A placement is decoded from its index
 (``_allocation_at``) to name a witness, in enumeration order, or when a
 check needs more than its vector; ``_Walk.indices`` finds those indices by
-rebuilding only the blocks whose record holds a wanted vector, once per
-shape.
+rebuilding only the blocks whose record holds a wanted vector.
 Cleanliness and EF1 are then asked of ``core``'s predicates
 (``first_zero_marginal``, ``first_ef1_violation``) on the decoded
 allocation, so the theorem checks test the same rules as the solvers and
@@ -36,7 +35,7 @@ valuation classes is how the expected failures are demonstrated.
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from operator import add, getitem, itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -237,10 +236,9 @@ class _Walk:
             firsts.setdefault(shape, h)
         return list(firsts.values())
 
-    def blocks(self, heads=None):
-        """Yield (start, keys) per block, in order; ``heads``, when given,
-        lists the numbers of the only blocks to build, ascending."""
-        for h in range(len(self.shapes)) if heads is None else heads:
+    def blocks(self, heads):
+        """Yield (start, keys) for the blocks numbered in ``heads``, ascending."""
+        for h in heads:
             yield h * self.size, self.keys(self.shapes[h])
 
     def counts(self) -> tuple:
@@ -260,28 +258,18 @@ class _Walk:
                 list(map(record.__getitem__, self.shapes)))
 
     def indices(self, wanted, record=None):
-        """Yield the indices of the placements whose vector is in ``wanted``,
-        in order.
+        """Indices of the placements whose vector is in ``wanted``, in order.
 
         With the ``record`` of ``counts``, only the blocks that hold a
-        wanted vector are built.  A shape's wanted positions are found once
-        and kept until its last such block.
+        wanted vector are built.
         """
         wanted = set(map(self.key, wanted))
         if not wanted:
-            return
+            return iter(())
         heads = range(len(self.shapes)) if record is None else [
             h for h, keys in enumerate(record) if not wanted.isdisjoint(keys)]
-        left, found = Counter(map(self.shapes.__getitem__, heads)), {}
-        for h in heads:
-            shape = self.shapes[h]
-            left[shape] -= 1
-            at = found.pop(shape, None)
-            if at is None:
-                at = list(compress(count(), map(wanted.__contains__, self.keys(shape))))
-            if left[shape]:
-                found[shape] = at
-            yield from map((h * self.size).__add__, at)
+        return chain.from_iterable(compress(count(start), map(wanted.__contains__, keys))
+                                   for start, keys in self.blocks(heads))
 
 
 def _masks_at(index, n, m, complete_only) -> list:
@@ -303,10 +291,10 @@ def _allocation_at(instance: Instance, items, index, complete_only=False) -> All
 def enumerate_allocations(instance: Instance, complete_only: bool = False,
                           budget: int = ENUMERATION_BUDGET):
     """Stream every allocation (including withholding) in lexicographic order."""
-    items, tables = _tables(instance, complete_only, budget)
-    for start, keys in _Walk(tables, len(items), complete_only).blocks():
-        for index in range(start, start + len(keys)):
-            yield _allocation_at(instance, items, index, complete_only)
+    _gate(instance, complete_only, budget)
+    base = instance.n if complete_only else instance.n + 1
+    for index in range(base ** instance.m):
+        yield _allocation_at(instance, instance.items, index, complete_only)
 
 
 def _gauge(convex) -> Callable:

@@ -203,8 +203,9 @@ def test_record_holds_each_blocks_distinct_keys(index, complete_only):
     items, tables = _tables(inst, complete_only, 10 ** 6)
     walk = _Walk(tables, len(items), complete_only)
     reference = _reference_blocks(walk, tables, len(items), complete_only)
-    assert [keys for _, keys in walk.blocks()] == reference
-    assert [start for start, _ in walk.blocks()] == [
+    blocks = list(walk.blocks(range(len(walk.shapes))))
+    assert [keys for _, keys in blocks] == reference
+    assert [start for start, _ in blocks] == [
         h * len(reference[0]) for h in range(len(reference))]
     counts, record = walk.counts()
     assert record == [tuple(dict.fromkeys(keys)) for keys in reference]
