@@ -1,45 +1,21 @@
-"""Deterministic bipartite matching, exact arithmetic.
+"""Deterministic maximum-weight bipartite matching, exact arithmetic.
 
-Single matching engine behind every assignment-style valuation, the welfare
-optimum and the waste accounting.  Determinism of the returned witness
-matters (two runs on the same input must agree item for item), so every
-tie-break follows the caller-supplied item and member orders: items are
-inserted in order, and alternating paths are found with a fixed relaxation
-order that only accepts strict improvements.  The weighted kernel only
-adds, subtracts and compares weights, so it runs on integers: every weight
-is scaled by the LCM of their denominators, which keeps every decision and
-the witness, and the total is scaled back exactly at the end.
+The weighted kernel behind AssignmentValuation, the welfare optimum and the
+waste accounting; unweighted (0,1) matchings are BinaryAssignmentValuation's
+own augmenting-path search.  Determinism of the returned witness matters
+(two runs on the same input must agree item for item), so every tie-break
+follows the caller-supplied item and member orders: items are inserted in
+order, and alternating paths are found with a fixed relaxation order that
+only accepts strict improvements.  The kernel only adds, subtracts and
+compares weights, so it runs on integers: every weight is scaled by the LCM
+of their denominators, which keeps every decision and the witness, and the
+total is scaled back exactly at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-
-def max_cardinality_matching(items, members, adjacent) -> dict:
-    """Maximum-cardinality matching of items to members.
-
-    ``adjacent(member, item)`` says whether a pair is allowed.  Items are
-    inserted in the given order, augmenting paths probe members in the given
-    order.  Returns {item: member} for the matched items.
-    """
-    members = list(members)
-    matched_item = {}  # member -> item
-
-    def try_place(item, banned):
-        for member in members:
-            if member in banned or not adjacent(member, item):
-                continue
-            banned.add(member)
-            if member not in matched_item or try_place(matched_item[member], banned):
-                matched_item[member] = item
-                return True
-        return False
-
-    for item in items:
-        try_place(item, set())
-    return {item: member for member, item in matched_item.items()}
 
 
 def max_weight_matching(items, members, weight) -> tuple:

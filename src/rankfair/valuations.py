@@ -4,6 +4,10 @@ All families expose value(bundle) with exact results.  The assignment
 families additionally expose assignment_value(bundle), returning the value
 together with a deterministic witness matching of bundle items to members;
 the witness never pairs an item with a member that weights it zero.
+Weighted assignment valuations match with ``matching.max_weight_matching``;
+(0,1)-OXS valuations (BinaryAssignmentValuation) match with their own
+depth-first augmenting-path search, grown from the empty matching over the
+sorted bundle.
 
 The families whose matroid is explicit (binary additive, transversal and
 truncations of either) also expose exchange(bundle, items): for a clean
@@ -22,10 +26,10 @@ bundle + item found by one alternating-path search from item over bundle's
 maximum-weight matching, instead of a matching from scratch; on (0,1)-OXS
 valuations that search is a single augmenting path.  It takes that matching
 from a value-only store of the matchings value_with itself grew, else from
-the kernel's witness, and writes the grown one only to the store.
+assignment_value's witness, and writes the grown one only to the store.
 Witnesses never come from the store: value() and assignment_value() read
-only the kernel's cache, so the matchings that waste accounting and the
-transfer heuristics see stay the kernel's.  A truncation has value_with
+only their cache of matchings from scratch, so the matchings that waste
+accounting and the transfer heuristics see stay those.  A truncation has value_with
 only when its inner valuation has it.  ``subset_tables`` grows every
 subset from its predecessor by one item through value_with wherever a
 valuation has it, and values each subset afresh otherwise.
@@ -42,7 +46,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .core import BudgetExceeded
-from .matching import max_cardinality_matching, max_weight_matching
+from .matching import max_weight_matching
 
 EXHAUSTIVE_LIMIT = 14
 
@@ -139,12 +143,12 @@ class AssignmentValuation:
         scale is the LCM of the weights' denominators, so every weight and
         every matching value becomes an integer once multiplied by it.
         """
-        scale = lcm(*(Fraction(w).denominator
+        scale = lcm(*(w.denominator
                       for row in self.weights.values() for w in row.values()))
         edges = {}
         for member in self.members:
             for item, w in self.weights[member].items():
-                edges.setdefault(item, {})[member] = int(w * scale)
+                edges.setdefault(item, {})[member] = w.numerator * (scale // w.denominator)
         return scale, edges
 
     def value_with(self, bundle, item):
@@ -218,45 +222,39 @@ class BinaryAssignmentValuation(AssignmentValuation):
 
     v(S) is then the size of a maximum matching of S's items to members,
     i.e. the rank of S in the transversal matroid of the adjacency graph.
+    The matching is this class's own augmenting-path search (``_match``):
+    assignment_value grows it from empty over the sorted bundle, and
+    value_with grows a bundle's matching by one item.  ``weights`` is a
+    read-only unit view of the adjacency, built without normalization.
     """
 
     def __init__(self, adjacency: Mapping):
-        members = tuple(adjacency)
-        weights = {mb: {it: 1 for it in items} for mb, items in adjacency.items()}
-        super().__init__(members, weights)
+        rows = {mb: dict.fromkeys(items, 1) for mb, items in adjacency.items()}
+        self.members = tuple(rows)
         self.adjacency = MappingProxyType(
-            {mb: frozenset(items) for mb, items in adjacency.items()})
-
-    def assignment_value(self, bundle) -> tuple:
-        bundle = frozenset(bundle)
-        hit = self._cache.get(bundle)
-        if hit is None:
-            items = sorted(bundle)
-            witness = max_cardinality_matching(
-                items, self.members, lambda mb, it: it in self.adjacency[mb]
-            )
-            hit = (len(witness), witness)
-            self._cache[bundle] = hit
-        return hit
+            {mb: frozenset(row) for mb, row in rows.items()})
+        self.weights = MappingProxyType(
+            {mb: MappingProxyType(row) for mb, row in rows.items()})
+        self._cache = {}
+        self._grown = {}
 
     @cached_property
-    def _members_of(self):
-        """item -> the members adjacent to it, in member order."""
-        index = {}
+    def _edges(self):
+        """(1, item -> {member: 1}), members in order."""
+        edges = {}
         for member in self.members:
             for item in self.adjacency[member]:
-                index.setdefault(item, []).append(member)
-        return index
+                edges.setdefault(item, {})[member] = 1
+        return 1, edges
 
-    def _augment(self, total, mates, item):
-        """(size, matching) after one augmenting-path search from the
-        unmatched ``item``, depth first, members in order; the inputs when
-        no path reaches a free member."""
-        holder = {member: x for x, member in mates.items()}
-        seen = set()
+    def _match(self, holder, items):
+        """Grow ``holder`` (member -> item) by one augmenting-path search from
+        each of ``items`` in turn, depth first, members in order.  A search
+        that fails leaves holder as it was."""
+        _, edges = self._edges
 
         def place(x):
-            for member in self._members_of.get(x, ()):
+            for member in edges.get(x, ()):
                 if member not in seen:
                     seen.add(member)
                     if member not in holder or place(holder[member]):
@@ -264,7 +262,27 @@ class BinaryAssignmentValuation(AssignmentValuation):
                         return True
             return False
 
-        if not place(item):
+        for item in items:
+            seen = set()
+            place(item)
+
+    def assignment_value(self, bundle) -> tuple:
+        bundle = frozenset(bundle)
+        hit = self._cache.get(bundle)
+        if hit is None:
+            holder = {}
+            self._match(holder, sorted(bundle))
+            witness = {x: member for member, x in holder.items()}
+            hit = (len(witness), witness)
+            self._cache[bundle] = hit
+        return hit
+
+    def _augment(self, total, mates, item):
+        """(size, matching) after one augmenting-path search from the
+        unmatched ``item``; the inputs when no path reaches a free member."""
+        holder = {member: x for x, member in mates.items()}
+        self._match(holder, (item,))
+        if len(holder) == len(mates):
             return total, mates
         return total + 1, {x: member for member, x in holder.items()}
 
@@ -281,6 +299,7 @@ class BinaryAssignmentValuation(AssignmentValuation):
         witness = self.assignment_value(bundle)[1] if bundle else {}
         if len(witness) != len(bundle):
             return None
+        _, edges = self._edges
         item_of = {member: item for item, member in witness.items()}
         queue = [member for member in self.members if member not in item_of]
         good = set(queue)
@@ -295,7 +314,7 @@ class BinaryAssignmentValuation(AssignmentValuation):
             if member not in reach:
                 found, stack = {item_of[member]}, [item_of[member]]
                 while stack:
-                    for other in self._members_of[stack.pop()]:
+                    for other in edges[stack.pop()]:
                         if item_of[other] not in found:
                             found.add(item_of[other])
                             stack.append(item_of[other])
@@ -306,7 +325,7 @@ class BinaryAssignmentValuation(AssignmentValuation):
         for o in items:
             if o in bundle:
                 continue
-            members = self._members_of.get(o, ())
+            members = edges.get(o, ())
             if not good.isdisjoint(members):
                 sinks.add(o)
             else:
@@ -322,11 +341,12 @@ class BinaryAssignmentValuation(AssignmentValuation):
         so v(A - x) = v(A); every matched item it never reaches is a coloop.
         """
         witness = self.assignment_value(bundle)[1]
+        _, edges = self._edges
         item_of = {member: item for item, member in witness.items()}
         stack = [x for x in bundle if x not in witness]
         free = set(stack)
         while stack:
-            for member in self._members_of.get(stack.pop(), ()):
+            for member in edges.get(stack.pop(), ()):
                 x = item_of[member]
                 if x not in free:
                     free.add(x)

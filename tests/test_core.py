@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from rankfair import valuations
 from rankfair.core import (Allocation, AllocationError, Instance, clean, ef1_pair,
                            first_zero_marginal, format_exact, is_clean, is_complete,
                            marginal_gain, parse_exact, validate_allocation,
@@ -160,13 +159,13 @@ def _ef1_branch(instance, allocation, i, j):
 def test_ef1_pair_matroid_branch_matches_the_value_loop(monkeypatch):
     calls = {"matroid": 0, "loop": 0, "reference": 0}
     mode = ["matroid"]
-    matching = valuations.max_cardinality_matching
+    assignment_value = BinaryAssignmentValuation.assignment_value
 
-    def counted(*args):
-        calls[mode[0]] += 1
-        return matching(*args)
+    def counted(self, bundle):  # counts the matchings run from scratch
+        calls[mode[0]] += frozenset(bundle) not in self._cache
+        return assignment_value(self, bundle)
 
-    monkeypatch.setattr(valuations, "max_cardinality_matching", counted)
+    monkeypatch.setattr(BinaryAssignmentValuation, "assignment_value", counted)
     rng = random.Random(31337)
     seen = {"empty": 0, "unclean": 0, "partial": 0}
     for _ in range(200):

@@ -187,8 +187,14 @@ def inside_union_side(monkeypatch):
             counts["depth"] -= 1
 
     monkeypatch.setattr(matroid_intersection, "_union_side", tracked_union_side)
-    monkeypatch.setattr(valuations, "max_cardinality_matching",
-                        counted("cardinality", valuations.max_cardinality_matching))
+    assignment_value = BinaryAssignmentValuation.assignment_value
+
+    def from_scratch(self, bundle):  # a (0,1) matching runs on a cache miss
+        if counts["depth"] and frozenset(bundle) not in self._cache:
+            counts["cardinality"] += 1
+        return assignment_value(self, bundle)
+
+    monkeypatch.setattr(BinaryAssignmentValuation, "assignment_value", from_scratch)
     monkeypatch.setattr(valuations, "max_weight_matching",
                         counted("weight", valuations.max_weight_matching))
     monkeypatch.setattr(AllOrNothingValuation, "value",

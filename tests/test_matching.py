@@ -3,26 +3,85 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from rankfair.matching import max_cardinality_matching, max_weight_matching
+from rankfair.matching import max_weight_matching
+from rankfair.valuations import BinaryAssignmentValuation
 
 from test_valuations import brute_force_matching_value
 
 
+def _reference_max_cardinality_matching(items, members, adjacent) -> dict:
+    """The former cardinality kernel: BinaryAssignmentValuation's reference.
+
+    ``adjacent(member, item)`` says whether a pair is allowed.  Items are
+    inserted in the given order, augmenting paths probe members in the given
+    order.  Returns {item: member} for the matched items.
+    """
+    members = list(members)
+    matched_item = {}  # member -> item
+
+    def try_place(item, banned):
+        for member in members:
+            if member in banned or not adjacent(member, item):
+                continue
+            banned.add(member)
+            if member not in matched_item or try_place(matched_item[member], banned):
+                matched_item[member] = item
+                return True
+        return False
+
+    for item in items:
+        try_place(item, set())
+    return {item: member for member, item in matched_item.items()}
+
+
 def test_cardinality_simple_chain():
-    adjacent = {"m1": {"a", "b"}, "m2": {"b"}}
-    match = max_cardinality_matching(
-        ["a", "b"], ["m1", "m2"], lambda mb, it: it in adjacent[mb])
-    assert len(match) == 2
+    v = BinaryAssignmentValuation({"m1": {"a", "b"}, "m2": {"b"}})
+    size, match = v.assignment_value({"a", "b"})
+    assert size == len(match) == 2
     assert set(match) == {"a", "b"}
     assert set(match.values()) == {"m1", "m2"}
 
 
 def test_cardinality_empty_and_saturated():
-    assert max_cardinality_matching([], ["m"], lambda mb, it: True) == {}
-    assert max_cardinality_matching(["a"], [], lambda mb, it: True) == {}
-    match = max_cardinality_matching(
-        ["a", "b", "c"], ["m"], lambda mb, it: True)
-    assert len(match) == 1
+    assert BinaryAssignmentValuation({"m": {"a"}}).assignment_value(()) == (0, {})
+    assert BinaryAssignmentValuation({}).assignment_value({"a"}) == (0, {})
+    size, match = BinaryAssignmentValuation(
+        {"m": {"a", "b", "c"}}).assignment_value({"a", "b", "c"})
+    assert size == len(match) == 1
+
+
+def test_cardinality_matches_the_reference_kernel():
+    """assignment_value's witness is the former kernel's, item for item and
+    in iteration order, on seeded (0,1) adjacencies over a wider ground set."""
+    rng = random.Random(16180)
+    seen = Counter()
+    for _ in range(2000):
+        items = ["o%d" % k for k in range(rng.randint(0, 14))]
+        ground = items + ["x%d" % k for k in range(rng.randint(0, 3))]
+        members = ["m%d" % k for k in range(rng.randint(1, 7))]
+        density = rng.choice((0.0, 0.1, 0.25, 0.5, 0.75, 1.0))
+        adjacency = {mb: [it for it in ground if rng.random() < density]
+                     for mb in members}
+        if rng.random() < 0.3:
+            adjacency[rng.choice(members)] = []
+        v = BinaryAssignmentValuation(adjacency)
+        bundles = [frozenset(), frozenset(items)]
+        bundles += [frozenset(rng.sample(items, rng.randint(0, len(items))))
+                    for _ in range(8)]
+        for bundle in bundles:
+            got = v.assignment_value(bundle)
+            want = _reference_max_cardinality_matching(
+                sorted(bundle), members, lambda mb, it: it in v.adjacency[mb])
+            assert got == (len(want), want)
+            assert list(got[1].items()) == list(want.items()), (adjacency, bundle)
+            seen["empty bundle" if not bundle else "bundle"] += 1
+            seen["unmatched item"] += len(want) < len(bundle)
+            seen["three or more matched"] += len(want) >= 3
+        seen["member with no item"] += any(not row for row in adjacency.values())
+        seen["adjacency outside the items"] += any(
+            it not in items for row in adjacency.values() for it in row)
+        seen["density %s" % density] += 1
+    assert len(seen) == 12 and min(seen.values()) >= 200, seen
 
 
 def test_weight_prefers_heavy_assignment():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from rankfair import valuations
-from rankfair.core import BudgetExceeded
+from rankfair.balanced_flow import leximin_flow_allocation
+from rankfair.core import BudgetExceeded, Instance
 from rankfair.matching import max_weight_matching
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
                                  BinaryAdditiveValuation,
@@ -69,7 +70,14 @@ def test_assignment_weights_are_read_only():
     assert b.value({"o1"}) == 1
     with pytest.raises(TypeError):
         b.adjacency["m"] = frozenset()
+    with pytest.raises(TypeError):
+        b.weights["m"]["o1"] = 0
     assert b == BinaryAssignmentValuation({"m": {"o1"}})
+    assert BinaryAssignmentValuation({"m": ["o1"]}) == b
+    assert is_matroid_rank_family(b)
+    alloc, _ = leximin_flow_allocation(
+        Instance(agents=("a",), items=("o1",), valuations={"a": b}))
+    assert alloc.bundle("a") == {"o1"}
 
 
 def test_assignment_value_matches_brute_force_fuzz():
@@ -140,15 +148,20 @@ def test_value_with_matches_the_kernel(monkeypatch):
     """Chains from a start bundle to the whole ground set, probing every item
     at every step, run a matching on the start bundle alone."""
     kernel_runs = []
+    kernel = valuations.max_weight_matching
+    assignment_value = BinaryAssignmentValuation.assignment_value
 
-    def counting(kernel):
-        def run(items, *args):
-            kernel_runs.append(frozenset(items))
-            return kernel(items, *args)
-        return run
+    def weighted(items, *args):
+        kernel_runs.append(frozenset(items))
+        return kernel(items, *args)
 
-    for name in ("max_weight_matching", "max_cardinality_matching"):
-        monkeypatch.setattr(valuations, name, counting(getattr(valuations, name)))
+    def unweighted(self, bundle):  # a (0,1) matching runs on a cache miss
+        if frozenset(bundle) not in self._cache:
+            kernel_runs.append(frozenset(bundle))
+        return assignment_value(self, bundle)
+
+    monkeypatch.setattr(valuations, "max_weight_matching", weighted)
+    monkeypatch.setattr(BinaryAssignmentValuation, "assignment_value", unweighted)
     rng = random.Random(4242)
     cases = 0
     for _ in range(300):
