@@ -32,7 +32,7 @@ from .eit import (eit_ef1, eit_general, envy_graph_baseline, price_of_fairness,
                   waste)
 from .fairness import (check_mms, check_po_bruteforce, check_proportional,
                        check_wprop1, envy_report, min_eqc)
-from .oracle import oracle_optimal, sum_squares
+from .oracle import CONVEX_BUILTINS, OBJECTIVES, oracle_optimal, sum_squares
 from .valuations import (EXHAUSTIVE_LIMIT, is_matroid_rank_family,
                          spot_check_matroid_rank, verify_matroid_rank)
 
@@ -347,7 +347,7 @@ def cmd_validate(args) -> int:
                                              seed=args.seed if args.seed is not None else 0)
             mode = "spot (non-conclusive)"
         else:
-            report = verify_matroid_rank(valuation, items, limit=EXHAUSTIVE_LIMIT)
+            report = verify_matroid_rank(valuation, items)
             mode = "exhaustive"
         rows.append((agent, mode, report))
         if not report.ok:
@@ -448,11 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exhaustive optimum of an objective")
     oracle.add_argument("--input", required=True)
-    oracle.add_argument("--objective", required=True,
-                        choices=("usw", "egalitarian", "leximin", "mnw",
-                                 "min_convex", "max_concave"))
-    oracle.add_argument("--convex", default="sum_squares",
-                        choices=("sum_squares", "sum_fourth", "zlogz"),
+    oracle.add_argument("--objective", required=True, choices=OBJECTIVES)
+    oracle.add_argument("--convex", default="sum_squares", choices=tuple(CONVEX_BUILTINS),
                         help="gauge of min_convex; no other objective reads it")
     oracle.add_argument("--complete-only", action="store_true")
     common(oracle)

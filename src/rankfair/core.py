@@ -382,11 +382,16 @@ def format_exact(value) -> str:
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
+_EXACT_CHARACTERS = frozenset("0123456789+-./")
+
+
 def parse_exact(raw) -> "Value":
     """Parse an exact number: an int, or a string like "3", "2.9", "3/8".
 
     Floats are rejected on purpose; they would smuggle rounding into a
-    codebase whose comparisons are all exact.
+    codebase whose comparisons are all exact.  A string holds only ASCII
+    digits and "+-./" inside surrounding whitespace: no exponent, whose
+    ten bytes could ask for a gigabyte integer, no "_" and no other digits.
     """
     if isinstance(raw, bool):
         raise TypeError("booleans are not numbers here")
@@ -394,6 +399,8 @@ def parse_exact(raw) -> "Value":
         return raw
     if isinstance(raw, str):
         try:
+            if not set(raw.strip()) <= _EXACT_CHARACTERS:
+                raise ValueError(raw)
             value = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse exact number from {raw!r}") from exc

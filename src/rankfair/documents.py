@@ -231,6 +231,8 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc.msg,
                             line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise DocumentError("invalid JSON: %s" % exc) from exc
 
 
 def load_path(path: str):

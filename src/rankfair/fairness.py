@@ -12,22 +12,23 @@ Pareto optimality and the maximin share both ask whether some allocation
 gives each agent a a value of at least c_a.  For the families that
 ``valuations.is_matroid_rank_family`` vouches for, one matroid intersection
 over the valuations truncated at c answers it (``_reaches``); the others
-run on the enumeration oracle's block walk (``oracle._Walk``), which also
-names every Pareto witness.  Both paths refuse past the walk's enumeration
-budget (``oracle._gate``).
+run on the enumeration oracle's block walk (``oracle._Walk``): the share
+from its vector ``counts``, and Pareto optimality from ``first``, the
+first dominating placement, which also names every Pareto witness.  Both
+paths refuse past the walk's enumeration budget (``oracle._gate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, compress, count
+from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
 from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance, ef1_pair
 from .matroid_intersection import max_common_independent_set
-from .oracle import _Walk, _allocation_at, _dominates, _gate, _tables
+from .oracle import _Walk, _dominates, _gate, _tables
 from .valuations import TruncatedValuation, is_matroid_rank_family
 
 
@@ -256,9 +257,8 @@ _MMS_SCAN = "maximin-share partition enumeration"
 def _mms_scan(instance: Instance, valuation, budget: int = ENUMERATION_BUDGET):
     """``valuation``'s maximin share by a scan of all n^m complete placements
     over its one value table, read for every part."""
-    items, tables = _tables(instance, True, budget, [valuation], _MMS_SCAN)
-    return max(map(min, _Walk(tables * instance.n, len(items), True).counts()[0]),
-               default=None)
+    tables = _tables(instance, True, budget, [valuation], _MMS_SCAN)
+    return max(map(min, _Walk(instance, tables * instance.n, True).counts()), default=None)
 
 
 def mms_share(instance: Instance, agent: str, budget: int = ENUMERATION_BUDGET):
@@ -302,18 +302,8 @@ def check_mms(instance: Instance, allocation: Allocation,
 def _first_dominating(instance: Instance, current, budget: int = ENUMERATION_BUDGET):
     """The first allocation in enumeration order whose value vector
     dominates ``current``, or None, by a scan of all (n+1)^m placements."""
-    items, tables = _tables(instance, False, budget)
-    walk = _Walk(tables, len(items), False)
-    seen = set()  # keys of earlier blocks, none of which dominates
-    for start, keys in walk.blocks(walk.firsts()):  # a repeated shape holds no fresh key
-        fresh = list(set(keys) - seen)
-        seen.update(fresh)
-        dominating = {key for key, vector in zip(fresh, walk.vectors(fresh))
-                      if _dominates(vector, current)}
-        if dominating:
-            index = next(compress(count(start), map(dominating.__contains__, keys)))
-            return _allocation_at(instance, items, index)
-    return None
+    walk = _Walk(instance, _tables(instance, False, budget), False)
+    return walk.first(lambda vector: _dominates(vector, current))
 
 
 def check_po_bruteforce(instance: Instance, allocation: Allocation,

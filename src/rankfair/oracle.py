@@ -16,11 +16,13 @@ block and gathers the keys of every placement of the trailing half with
 depends only on its own leading items, so a block's keys depend only on
 its *shape*, the tuple of its agents' distinct-column numbers; each shape
 is summed and counted once.  Checks decide on the distinct vectors, which
-one counting walk gathers (``_Walk.counts``), together with a record of
-each block's distinct keys.  A placement is decoded from its index
-(``_allocation_at``) to name a witness, in enumeration order, or when a
-check needs more than its vector; ``_Walk.indices`` finds those indices by
-rebuilding only the blocks whose record holds a wanted vector.
+one counting walk gathers (``_Walk.counts``), which records each shape's
+distinct keys on the walk.  The walk decodes its own placements, in
+enumeration order, to name a witness or when a check needs more than a
+vector: ``_Walk.allocations`` yields those whose vector is wanted,
+rebuilding only the blocks whose shape's record holds one, and
+``_Walk.first`` returns the first whose vector passes a test, building
+only each shape's first block.
 Cleanliness and EF1 are then asked of ``core``'s predicates
 (``first_zero_marginal``, ``first_ef1_violation``) on the decoded
 allocation, so the theorem checks test the same rules as the solvers and
@@ -35,9 +37,9 @@ valuation classes is how the expected failures are demonstrated.
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, compress, count, islice
+from itertools import compress, count, islice
 from operator import add, getitem, itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .core import (ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance,
                    first_ef1_violation, first_zero_marginal, values_vector)
@@ -137,24 +139,21 @@ def _gate(instance: Instance, complete_only: bool, budget: int,
 
 
 def _tables(instance: Instance, complete_only: bool, budget: int, valuations=None,
-            what: str = "allocation enumeration"):
-    """(items, tables): a value table per valuation, the agents' by default.
+            what: str = "allocation enumeration") -> list:
+    """A value table per valuation, the agents' by default.
 
     Passes ``_gate`` first.  Bit p of a mask stands for the p-th item in
     index order.  With a single placement (one agent, no withholding) a
-    table holds only the full mask; otherwise 2^m <= base^m <= budget and it
-    covers every subset.
+    table is the one-entry list [v(M)]; otherwise 2^m <= base^m <= budget
+    and it covers every subset.
     """
     _gate(instance, complete_only, budget, what)
     items = instance.items
-    base = instance.n if complete_only else instance.n + 1
     if valuations is None:
         valuations = [instance.valuation(agent) for agent in instance.agents]
-    if base < 2:
-        full = (1 << len(items)) - 1
-        return items, [{full: valuation.value(frozenset(items))}
-                       for valuation in valuations]
-    return items, subset_tables(valuations, items)[1]
+    if (instance.n if complete_only else instance.n + 1) < 2:
+        return [[valuation.value(frozenset(items))] for valuation in valuations]
+    return subset_tables(valuations, items)[1]
 
 
 def _digit_masks(n, base, length):
@@ -189,11 +188,10 @@ class _Walk:
     shape holds no key that its first block lacks.
     """
 
-    def __init__(self, tables, m, complete_only):
-        n = len(tables)
+    def __init__(self, instance: Instance, tables, complete_only):
+        n, m = len(tables), instance.m
+        self.instance, self.complete_only = instance, complete_only
         self.base = n if complete_only else n + 1
-        if self.base < 2:  # at most one placement; a one-agent table holds only it
-            tables = [[table[(1 << m) - 1]] for table in tables]
         self.values = [list(dict.fromkeys(table)) for table in tables]
         self.radix = max(map(len, self.values), default=1)
         self.powers = [self.radix ** k for k in range(n)]
@@ -229,63 +227,61 @@ class _Walk:
         """The keys of every block of ``shape``, in order."""
         return list(reduce(partial(map, add), map(getitem, self.columns, shape)))
 
-    def firsts(self) -> list:
-        """The numbers of the blocks whose shape no earlier block has."""
-        firsts = {}
-        for h, shape in enumerate(self.shapes):
-            firsts.setdefault(shape, h)
-        return list(firsts.values())
-
-    def blocks(self, heads):
-        """Yield (start, keys) for the blocks numbered in ``heads``, ascending."""
-        for h in heads:
-            yield h * self.size, self.keys(self.shapes[h])
-
-    def counts(self) -> tuple:
-        """(counts, record): placements per distinct vector, keyed in order of
-        first occurrence, and each block's distinct keys, block by block.
+    def counts(self) -> Counter:
+        """Placements per distinct vector, keyed in order of first occurrence.
 
         Shapes are counted in order of first appearance, which keeps that
-        order; blocks of one shape share one record entry.
+        order.  ``record`` maps each distinct shape to its distinct keys.
         """
-        counts, record = Counter(), {}
+        counts, self.record = Counter(), {}
         for shape, times in Counter(self.shapes).items():
             block = Counter(self.keys(shape))
             counts.update(block if times == 1 else
                           {key: number * times for key, number in block.items()})
-            record[shape] = tuple(block)
-        return (Counter(dict(zip(self.vectors(list(counts)), counts.values()))),
-                list(map(record.__getitem__, self.shapes)))
+            self.record[shape] = tuple(block)
+        return Counter(dict(zip(self.vectors(list(counts)), counts.values())))
 
-    def indices(self, wanted, record=None):
-        """Indices of the placements whose vector is in ``wanted``, in order.
+    def allocations(self, wanted):
+        """Yield the placements whose vector is in ``wanted``, in order.
 
-        With the ``record`` of ``counts``, only the blocks that hold a
-        wanted vector are built.
+        Only the blocks whose shape holds a wanted key, by the ``record``
+        of ``counts``, are built.
         """
         wanted = set(map(self.key, wanted))
-        if not wanted:
-            return iter(())
-        heads = range(len(self.shapes)) if record is None else [
-            h for h, keys in enumerate(record) if not wanted.isdisjoint(keys)]
-        return chain.from_iterable(compress(count(start), map(wanted.__contains__, keys))
-                                   for start, keys in self.blocks(heads))
+        holding = {shape for shape, keys in self.record.items() if not wanted.isdisjoint(keys)}
+        for h, shape in enumerate(self.shapes):
+            if shape in holding:
+                for index in compress(count(h * self.size),
+                                      map(wanted.__contains__, self.keys(shape))):
+                    yield _allocation_at(self.instance, index, self.complete_only)
+
+    def first(self, test):
+        """The first placement whose vector passes ``test``, or None.
+
+        Only each shape's first block is built, since a repeated shape
+        holds no fresh key, and each distinct key is tested once.
+        """
+        seen = set()  # keys of earlier blocks, none of which passes
+        for shape in dict.fromkeys(self.shapes):
+            keys = self.keys(shape)
+            fresh = list(set(keys) - seen)
+            seen.update(fresh)
+            passing = {key for key, vector in zip(fresh, self.vectors(fresh)) if test(vector)}
+            if passing:
+                start = self.shapes.index(shape) * self.size
+                index = next(compress(count(start), map(passing.__contains__, keys)))
+                return _allocation_at(self.instance, index, self.complete_only)
+        return None
 
 
-def _masks_at(index, n, m, complete_only) -> list:
-    """Each agent's mask in the placement numbered ``index``."""
-    masks = [0] * (n + 1)
-    for pos in reversed(range(m)):
-        index, digit = divmod(index, n if complete_only else n + 1)
-        masks[digit] |= 1 << pos
-    return masks[:n]
-
-
-def _allocation_at(instance: Instance, items, index, complete_only=False) -> Allocation:
-    masks = _masks_at(index, instance.n, len(items), complete_only)
-    return Allocation.from_bundles(instance, {
-        agent: frozenset(item for pos, item in enumerate(items) if mask >> pos & 1)
-        for agent, mask in zip(instance.agents, masks)})
+def _allocation_at(instance: Instance, index, complete_only=False) -> Allocation:
+    """The placement numbered ``index``: its base-(n+1) digits, n when
+    complete_only, place the items in order, and digit n withholds."""
+    base, m = (instance.n if complete_only else instance.n + 1), instance.m
+    bundles = [[] for _ in range(instance.n + 1)]
+    for p, item in enumerate(instance.items):
+        bundles[index // base ** (m - 1 - p) % base].append(item)
+    return Allocation.from_bundles(instance, dict(zip(instance.agents, bundles)))
 
 
 def enumerate_allocations(instance: Instance, complete_only: bool = False,
@@ -294,7 +290,7 @@ def enumerate_allocations(instance: Instance, complete_only: bool = False,
     _gate(instance, complete_only, budget)
     base = instance.n if complete_only else instance.n + 1
     for index in range(base ** instance.m):
-        yield _allocation_at(instance, instance.items, index, complete_only)
+        yield _allocation_at(instance, index, complete_only)
 
 
 def _gauge(convex) -> Callable:
@@ -340,21 +336,18 @@ def oracle_optimal(instance: Instance, objective: str, convex="sum_squares",
     """
     if objective not in OBJECTIVES:
         raise ValueError("unknown objective: %r" % (objective,))
-    items, tables = _tables(instance, complete_only, budget)
     key_of = _objective_key(objective, convex)
-    walk = _Walk(tables, len(items), complete_only)
-    counts, record = walk.counts()
+    walk = _Walk(instance, _tables(instance, complete_only, budget), complete_only)
+    counts = walk.counts()
     keys = {vector: key_of(vector) for vector in counts}
     best_vector = max(keys, key=keys.__getitem__, default=None)
     best_key = keys.get(best_vector)
     winners = {vector for vector, key in keys.items() if key == best_key}
-    winner_indices = walk.indices(winners, record)
     return OracleResult(
         objective=objective,
         optimal_value=_reported_optimum(objective, best_key, best_vector, convex),
         optimal_vector=best_vector,
-        witnesses=tuple(_allocation_at(instance, items, index, complete_only)
-                        for index in islice(winner_indices, witness_cap)),
+        witnesses=tuple(islice(walk.allocations(winners), witness_cap)),
         witness_count=sum(counts[vector] for vector in winners),
         scanned=sum(counts.values()),
     )
@@ -396,13 +389,8 @@ def verify_equivalences(instance: Instance,
     All six provably hold for matroid-rank valuations; counterexamples on
     other valuation classes are reported, not raised.
     """
-    items, tables = _tables(instance, False, budget)
-    walk = _Walk(tables, len(items), False)
-    counts, record = walk.counts()
-
-    def first_allocation(vector):
-        return _allocation_at(instance, items, next(walk.indices({vector}, record)))
-
+    walk = _Walk(instance, _tables(instance, False, budget), False)
+    counts = walk.counts()
     vectors = set(counts)
     max_usw = max(sum(vector) for vector in vectors)
     usw_optimal = {vector for vector in vectors if sum(vector) == max_usw}
@@ -419,7 +407,7 @@ def verify_equivalences(instance: Instance,
             pareto_gap, sum(pareto_gap), max_usw),
         counterexample=None if pareto_gap is None else {
             "vector": pareto_gap,
-            "allocation": first_allocation(pareto_gap),
+            "allocation": walk.first(pareto_gap.__eq__),
         },
     ))
 
@@ -453,8 +441,7 @@ def verify_equivalences(instance: Instance,
 
     # (c) Clean optima of either kind are envy-free up to one item.
     violations = {}
-    for index in walk.indices(leximin_optima | nash_optima, record):
-        allocation = _allocation_at(instance, items, index)
+    for allocation in walk.allocations(leximin_optima | nash_optima):
         if (first_zero_marginal(instance, allocation) is not None
                 or first_ef1_violation(instance, allocation) is None):
             continue
@@ -498,7 +485,7 @@ def verify_equivalences(instance: Instance,
         % (unreachable,),
         counterexample=None if unreachable is None else {
             "vector": unreachable,
-            "allocation": first_allocation(unreachable),
+            "allocation": walk.first(unreachable.__eq__),
         },
     ))
 
@@ -524,8 +511,8 @@ def verify_equivalences(instance: Instance,
 def max_usw_value(instance: Instance, complete_only: bool = False,
                   budget: int = ENUMERATION_BUDGET):
     """Maximum utilitarian welfare over the enumerated allocations."""
-    items, tables = _tables(instance, complete_only, budget)
-    return max(map(sum, _Walk(tables, len(items), complete_only).counts()[0]))
+    tables = _tables(instance, complete_only, budget)
+    return max(map(sum, _Walk(instance, tables, complete_only).counts()))
 
 
 def usw_optimal_all_clean_complete(instance: Instance,
@@ -537,12 +524,8 @@ def usw_optimal_all_clean_complete(instance: Instance,
     streamed in enumeration order and the scan stops at the first one
     that withholds an item or is unclean.
     """
-    items, tables = _tables(instance, False, budget)
-    walk = _Walk(tables, len(items), False)
-    counts, record = walk.counts()
+    walk = _Walk(instance, _tables(instance, False, budget), False)
+    counts = walk.counts()
     best = max(map(sum, counts))
-    for index in walk.indices({v for v in counts if sum(v) == best}, record):
-        allocation = _allocation_at(instance, items, index)
-        if allocation.withheld or first_zero_marginal(instance, allocation) is not None:
-            return False
-    return True
+    return not any(allocation.withheld or first_zero_marginal(instance, allocation) is not None
+                   for allocation in walk.allocations({v for v in counts if sum(v) == best}))

@@ -187,8 +187,7 @@ def _reference_blocks(walk, tables, m, complete_only):
 
 def test_cases_cover_distinct_and_shared_shapes():
     def shapes(inst):
-        items, tables = _tables(inst, False, 10 ** 6)
-        return _Walk(tables, len(items), False).shapes
+        return _Walk(inst, _tables(inst, False, 10 ** 6), False).shapes
 
     distinct, shared, three = map(shapes, CASES[-3:])
     assert len(distinct) == len(set(distinct)) == 27
@@ -200,15 +199,15 @@ def test_cases_cover_distinct_and_shared_shapes():
 @pytest.mark.parametrize("index", range(len(CASES)))
 def test_record_holds_each_blocks_distinct_keys(index, complete_only):
     inst = CASES[index]
-    items, tables = _tables(inst, complete_only, 10 ** 6)
-    walk = _Walk(tables, len(items), complete_only)
-    reference = _reference_blocks(walk, tables, len(items), complete_only)
-    blocks = list(walk.blocks(range(len(walk.shapes))))
-    assert [keys for _, keys in blocks] == reference
-    assert [start for start, _ in blocks] == [
-        h * len(reference[0]) for h in range(len(reference))]
-    counts, record = walk.counts()
-    assert record == [tuple(dict.fromkeys(keys)) for keys in reference]
+    tables = _tables(inst, complete_only, 10 ** 6)
+    walk = _Walk(inst, tables, complete_only)
+    reference = _reference_blocks(walk, tables, inst.m, complete_only)
+    assert [walk.keys(shape) for shape in walk.shapes] == reference
+    assert walk.size == len(reference[0])
+    counts = walk.counts()
+    assert list(walk.record) == list(dict.fromkeys(walk.shapes))
+    assert [walk.record[shape] for shape in walk.shapes] == [
+        tuple(dict.fromkeys(keys)) for keys in reference]
     assert sum(counts.values()) == sum(map(len, reference))
 
 
@@ -220,9 +219,16 @@ def test_block_walk_matches_the_per_placement_loop(index, complete_only):
     assert list(enumerate_allocations(inst, complete_only=complete_only)) == [
         allocation for allocation, _ in scan]
 
-    items, tables = _tables(inst, complete_only, 10 ** 6)
-    counts = _Walk(tables, len(items), complete_only).counts()[0]
+    walk = _Walk(inst, _tables(inst, complete_only, 10 ** 6), complete_only)
+    counts = walk.counts()
     assert list(counts.items()) == list(Counter(vector for _, vector in scan).items())
+
+    first = {}
+    for allocation, vector in scan:
+        first.setdefault(vector, allocation)
+    for vector in counts:
+        assert walk.first(vector.__eq__) == first[vector]
+    assert walk.first(lambda vector: False) is None
 
     for objective in OBJECTIVES:
         for convex in ("sum_squares", "zlogz"):
@@ -271,7 +277,7 @@ def test_po_mms_and_equivalences_match_the_per_placement_loop(index):
             assert outcome.counterexample["allocation"] == counterexample, name
 
 
-def test_block_record_skips_only_blocks_without_a_winner():
+def test_block_record_skips_only_blocks_without_a_winner(monkeypatch):
     # 64 blocks, one per placement of o1..o3.  Only g3 values those items,
     # so every utilitarian winner sits in block 42 (o1..o3 all with g3).
     items = tuple("o%d" % k for k in range(1, 8))
@@ -279,22 +285,30 @@ def test_block_record_skips_only_blocks_without_a_winner():
         "g1": BinaryAdditiveValuation({"o4", "o5", "o6"}),
         "g2": BinaryAssignmentValuation({"m1": {"o6", "o7"}, "m2": {"o7"}}),
         "g3": BinaryAdditiveValuation({"o1", "o2", "o3", "o7"})})
-    items, tables = _tables(inst, False, 10 ** 6)
-    walk = _Walk(tables, len(items), False)
-    counts, record = walk.counts()
-    assert len(record) == 64
+    scan = _reference_scan(inst, False)
+    walk = _Walk(inst, _tables(inst, False, 10 ** 6), False)
+    counts = walk.counts()
+    assert len(walk.shapes) == 64
+    built, keys = [], _Walk.keys
+    monkeypatch.setattr(_Walk, "keys",
+                        lambda self, shape: built.append(shape) or keys(self, shape))
     skipped = 0
     for objective in OBJECTIVES:
         key_of = _objective_key(objective, "sum_squares")
         best = max(map(key_of, counts))
         winners = {vector for vector in counts if key_of(vector) == best}
+        expected = [allocation for allocation, vector in scan if vector in winners]
         wanted = set(map(walk.key, winners))
-        holding = [h for h, keys in enumerate(record) if not wanted.isdisjoint(keys)]
+        holding = [h for h, shape in enumerate(walk.shapes)
+                   if not wanted.isdisjoint(walk.record[shape])]
         skipped += 64 - len(holding)
         for cap in (1, 2, 64):
-            assert (list(islice(walk.indices(winners, record), cap))
-                    == list(islice(walk.indices(winners), cap)))
-        assert list(walk.indices(winners, record)) == list(walk.indices(winners))
+            built.clear()
+            assert list(islice(walk.allocations(winners), cap)) == expected[:cap]
+            assert built and built == [walk.shapes[h] for h in holding][:len(built)]
+        built.clear()
+        assert list(walk.allocations(winners)) == expected
+        assert built == [walk.shapes[h] for h in holding]
         if objective == "usw":
             assert holding == [42]
     assert skipped > 64
@@ -309,7 +323,7 @@ def test_counts_sums_each_shape_once_and_gathers_each_mask_once(monkeypatch):
         "g1": BinaryAdditiveValuation({"o4", "o5", "o6"}),
         "g2": BinaryAssignmentValuation({"m1": {"o6", "o7"}, "m2": {"o7"}}),
         "g3": BinaryAdditiveValuation({"o1", "o2", "o3", "o7"})})
-    items, tables = _tables(inst, False, 10 ** 6)
+    tables = _tables(inst, False, 10 ** 6)
     gathered, built = [], []
 
     def counting_itemgetter(*masks):
@@ -321,9 +335,9 @@ def test_counts_sums_each_shape_once_and_gathers_each_mask_once(monkeypatch):
     monkeypatch.setattr(oracle, "itemgetter", counting_itemgetter)
     monkeypatch.setattr(_Walk, "keys",
                         lambda self, shape: built.append(shape) or keys(self, shape))
-    walk = _Walk(tables, len(items), False)
+    walk = _Walk(inst, tables, False)
     assert list(map(len, gathered)) == [2 ** 3] * 3
-    counts = walk.counts()[0]
+    counts = walk.counts()
     assert len(walk.shapes) == 64 and built == list(dict.fromkeys(walk.shapes))
     assert len(built) == 4
     assert sum(counts.values()) == 4 ** 7
@@ -348,15 +362,15 @@ def test_counts_keeps_no_block_key_lists():
     agents = ("g1", "g2", "g3")
     inst = Instance(agents=agents, items=items,
                     valuations={agent: _Mirror(items) for agent in agents})
-    items, tables = _tables(inst, False, 4 ** 10)
+    tables = _tables(inst, False, 4 ** 10)
     tracemalloc.start()
     try:
-        walk = _Walk(tables, len(items), False)
-        counts, record = walk.counts()
+        walk = _Walk(inst, tables, False)
+        counts = walk.counts()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(set(walk.shapes)) == len(record) == 4 ** 5
+    assert len(set(walk.shapes)) == len(walk.record) == 4 ** 5
     assert len(counts) == 8 and sum(counts.values()) == 4 ** 10
     assert peak < 5 * 2 ** 20
 

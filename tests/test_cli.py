@@ -352,6 +352,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["oracle", "--input", str(tmp_path / "missing.json"),
                  "--objective", "usw"]) == 1
     capsys.readouterr()
+    oversized = tmp_path / "oversized.json"   # json.dumps cannot render this int
+    oversized.write_text('{"schema": 1, "items": ["o1"], "agents": [{"id": "a", "valuation": '
+                         '{"type": "truncated", "cap": %s, "inner": {"type": "binary_additive",'
+                         ' "approved": ["o1"]}}}]}' % ("9" * 5000))
+    assert main(["validate", "--input", str(oversized)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON") and "Traceback" not in err
 
 
 def _validate_agent_valuation(tmp_path, capsys, valuation):
@@ -391,6 +398,8 @@ _IDS = "must be a list of string identifiers"
     ([_agent(type="binary_assignment", members=[{"id": "m", "adjacent": ["o1"]},
                                                 {"id": "m", "adjacent": ["o2"]}])],
      None, "agent 'a': duplicate member identifiers"),
+    ([_agent(type="assignment", members=[{"id": "m1", "weights": {"o1": "1e3"}}])], None,
+     "agent 'a' weight o1: cannot parse exact number from '1e3'"),
     ([_agent()], {"bundles": {"a": [1, "zz"]}}, "bundle of agent 'a' " + _IDS),
     ([_agent()], {"bundles": {"a": [["o1"]]}}, "bundle of agent 'a' " + _IDS),
     ([_agent()], {"bundles": {"a": ["o1", "o1"]}}, "bundle of agent 'a' lists an item twice"),
@@ -398,7 +407,7 @@ _IDS = "must be a list of string identifiers"
     ([_agent()], {"bundles": {"a": ["o1"]}, "withheld": [["o2"]]}, "withheld " + _IDS),
     ([_agent()], {"bundles": {"a": ["o1"]}, "withheld": "o2o3"}, "withheld " + _IDS),
 ], ids=["agent-id-number", "approved-number", "approved-string", "duplicate-member",
-        "bundle-number", "bundle-nested", "bundle-duplicate", "withheld-number",
+        "weight-exponent", "bundle-number", "bundle-nested", "bundle-duplicate", "withheld-number",
         "withheld-nested", "withheld-string"])
 def test_malformed_documents_are_errors(tmp_path, capsys, agents, allocation, message):
     """Identifiers that are not strings, or are listed twice, exit 1 with one error line."""

@@ -217,6 +217,9 @@ def test_parse_exact_rejects_floats_and_junk():
         parse_exact("nan")
     with pytest.raises(ValueError):
         parse_exact("")
+    for text in ("1e3", "1E-2", "1_000", "\u0663"):   # exponent, "_", Arabic-Indic three
+        with pytest.raises(ValueError, match="cannot parse exact number"):
+            parse_exact(text)
     with pytest.raises(TypeError):
         parse_exact(1.5)
     with pytest.raises(TypeError):
