@@ -336,6 +336,8 @@ _WITNESS_KEY_ORDER = ("subset", "item", "context_item", "value", "size",
 
 def cmd_validate(args) -> int:
     samples = _at_least("--spot-check", args.spot_check, 1)
+    if args.seed is not None and samples is None:
+        raise DocumentError("--seed needs --spot-check")
     instance = _instance_from(args.input)
     items = instance.items
     rows = []
@@ -423,10 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "matroid-rank and assignment valuations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=True):
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--budget", type=int, default=None,
-                       help="override the relevant enumeration or transfer budget")
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="override the relevant enumeration or transfer budget")
 
     solve = sub.add_parser("solve", help="run an allocation algorithm")
     solve.add_argument("--input", required=True)
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="probabilistic mode: random subset samples instead "
                                "of the exhaustive scan (non-conclusive)")
     validate.add_argument("--seed", type=int, default=None)
-    common(validate)
+    common(validate, budget=False)
     validate.set_defaults(func=cmd_validate)
 
     bench = sub.add_parser("bench", help="ratings-corpus experiment table")

@@ -175,13 +175,15 @@ def _require_assignment(instance: Instance, what: str):
 def _global_optimum_matching(instance: Instance):
     """Max-weight matching of all items to (agent, member) pairs.
 
-    Its total weight is the maximum utilitarian welfare for assignment
-    valuations, since the per-bundle matchings are independent.
+    Its total weight, summed exactly from the matched weights, is the
+    maximum utilitarian welfare for assignment valuations, since the
+    per-bundle matchings are independent.
     """
     rows = {(a, mb): instance.valuation(a).weights[mb]
             for a in instance.agents for mb in instance.valuation(a).members}
-    weight = lambda node, item: rows[node].get(item, 0)
-    return max_weight_matching(list(instance.items), list(rows), weight)
+    _, edges = AssignmentValuation(rows, rows)._edges
+    _, witness = max_weight_matching(instance.items, rows, edges)
+    return sum(rows[node][item] for item, node in witness.items()), witness
 
 
 def initial_assignment_allocation(instance: Instance) -> tuple:

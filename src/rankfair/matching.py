@@ -1,32 +1,29 @@
-"""Deterministic maximum-weight bipartite matching, exact arithmetic.
+"""Deterministic maximum-weight bipartite matching on integer weights.
 
-The weighted kernel behind AssignmentValuation, the welfare optimum and the
-waste accounting; unweighted (0,1) matchings are BinaryAssignmentValuation's
-own augmenting-path search.  Determinism of the returned witness matters
-(two runs on the same input must agree item for item), so every tie-break
+The weighted kernel behind AssignmentValuation and the welfare optimum;
+unweighted (0,1) matchings are BinaryAssignmentValuation's own
+augmenting-path search.  Determinism of the returned witness matters (two
+runs on the same input must agree item for item), so every tie-break
 follows the caller-supplied item and member orders: items are inserted in
 order, and alternating paths are found with a fixed relaxation order that
 only accepts strict improvements.  The kernel only adds, subtracts and
-compares weights, so it runs on integers: every weight is scaled by the LCM
-of their denominators, which keeps every decision and the witness, and the
-total is scaled back exactly at the end.
+compares weights, so the caller passes them as integers: a valuation's
+``_edges`` index holds its weights scaled by the LCM of their
+denominators, which keeps every decision and the witness, and the caller
+divides the total back.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 
-
-def max_weight_matching(items, members, weight) -> tuple:
+def max_weight_matching(items, members, edges) -> tuple:
     """Maximum-weight matching of items to members; items may stay unmatched.
 
-    ``weight(member, item)`` must return an int or a Fraction; non-positive
-    weights are treated as absent edges, so the witness never pairs an item
-    with a member that values it at zero.
+    ``edges`` maps an item to {member: positive int weight}, its members in
+    the order of ``members``; a pair without an entry is no edge, so the
+    witness never pairs an item with a member that values it at zero.
 
-    Returns (total weight, {item: member}).  The total is a Fraction when
-    some matched weight is one, and an int otherwise.
+    Returns (total weight, {item: member}), the total an int.
 
     Method: successive augmentation.  Each round finds the alternating path
     of maximum net gain from any unmatched item to any free member
@@ -37,13 +34,8 @@ def max_weight_matching(items, members, weight) -> tuple:
     """
     items, members = list(items), list(members)
     n, p = len(items), len(members)
-    rows = [[(k, w) for k, mb in enumerate(members) if (w := weight(mb, it)) > 0]
-            for it in items]
-    scale = lcm(*(w.denominator for row in rows for _, w in row))
-    fractional = {(i, k) for i, row in enumerate(rows)
-                  for k, w in row if not isinstance(w, int)}
-    rows = [[(k, w.numerator * (scale // w.denominator)) for k, w in row]
-            for row in rows]
+    index = {mb: k for k, mb in enumerate(members)}
+    rows = [[(index[mb], w) for mb, w in edges.get(it, {}).items()] for it in items]
     item_mate = {}  # item -> member, in matching order
     member_mate = [None] * p  # member -> item
     mate_weight = [0] * p  # member -> weight of its matched edge
@@ -106,8 +98,4 @@ def max_weight_matching(items, members, weight) -> tuple:
             mate_weight[k] = via[k]
 
     total = sum(mate_weight[k] for k in item_mate.values())
-    if fractional.isdisjoint(item_mate.items()):
-        total //= scale
-    else:
-        total = Fraction(total, scale)
     return total, {items[i]: members[k] for i, k in item_mate.items()}

@@ -7,7 +7,8 @@ the witness never pairs an item with a member that weights it zero.
 Weighted assignment valuations match with ``matching.max_weight_matching``;
 (0,1)-OXS valuations (BinaryAssignmentValuation) match with their own
 depth-first augmenting-path search, grown from the empty matching over the
-sorted bundle.
+sorted bundle.  Every matching reads the valuation's one integer weight
+index, ``_edges``, and divides its total back by the index's scale.
 
 The families whose matroid is explicit (binary additive, transversal and
 truncations of either) also expose exchange(bundle, items): for a clean
@@ -56,6 +57,11 @@ def _norm(value):
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value
+
+
+def _unscaled(total, scale):
+    """total / scale exactly: an int when whole, else a Fraction."""
+    return total // scale if total % scale == 0 else Fraction(total, scale)
 
 
 @dataclass(frozen=True)
@@ -119,17 +125,14 @@ class AssignmentValuation:
     def __repr__(self):
         return f"{type(self).__name__}(members={self.members!r})"
 
-    def weight(self, member, item):
-        return self.weights[member].get(item, 0)
-
     def assignment_value(self, bundle) -> tuple:
         """(value, witness) where witness maps items to distinct members."""
         bundle = frozenset(bundle)
         hit = self._cache.get(bundle)
         if hit is None:
-            items = sorted(bundle)
-            total, witness = max_weight_matching(items, self.members, self.weight)
-            hit = (_norm(total), witness)
+            scale, edges = self._edges
+            total, witness = max_weight_matching(sorted(bundle), self.members, edges)
+            hit = (_unscaled(total, scale), witness)
             self._cache[bundle] = hit
         return hit
 
@@ -138,7 +141,8 @@ class AssignmentValuation:
 
     @cached_property
     def _edges(self):
-        """(scale, item -> {member: weight * scale}), members in order.
+        """(scale, item -> {member: weight * scale}), members in order: the
+        one integer weight index behind every matching of this valuation.
 
         scale is the LCM of the weights' denominators, so every weight and
         every matching value becomes an integer once multiplied by it.
@@ -176,8 +180,7 @@ class AssignmentValuation:
             if item not in bundle:
                 hit = self._augment(*hit, item)
             self._grown[grown] = hit
-        total = self._grown[grown][0]
-        return total // scale if total % scale == 0 else Fraction(total, scale)
+        return _unscaled(self._grown[grown][0], scale)
 
     def _augment(self, total, mates, item):
         """(scaled total, matching) after the best alternating path from the
@@ -501,7 +504,7 @@ class RankReport:
     subsets_checked: int = 0
 
 
-def verify_matroid_rank(valuation, items, limit: int = EXHAUSTIVE_LIMIT) -> RankReport:
+def verify_matroid_rank(valuation, items) -> RankReport:
     """Exhaustively certify that ``valuation`` is a matroid rank function.
 
     Checks, over every subset of ``items``: value of the empty set is zero,
@@ -510,8 +513,8 @@ def verify_matroid_rank(valuation, items, limit: int = EXHAUSTIVE_LIMIT) -> Rank
     for all o != o' outside S.  Together these are equivalent to the rank
     axioms of a matroid.
 
-    The scan is exact and exponential; instances with more than ``limit``
-    items are refused with BudgetExceeded rather than silently sampled.
+    The scan is exact and exponential; more than EXHAUSTIVE_LIMIT items
+    are refused with BudgetExceeded rather than silently sampled.
     The first counterexample in deterministic scan order (subsets by
     ascending bitmask, items by ascending index) is reported.  Once every
     gain is 0 or 1, each subset's gain-1 items are one bitset, and a
@@ -520,8 +523,8 @@ def verify_matroid_rank(valuation, items, limit: int = EXHAUSTIVE_LIMIT) -> Rank
     """
     items = list(items)
     m = len(items)
-    if m > limit:
-        raise BudgetExceeded("exhaustive matroid-rank verification", 2**m, 2**limit)
+    if m > EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded("exhaustive matroid-rank verification", 2**m, 2**EXHAUSTIVE_LIMIT)
 
     subset, (table,) = subset_tables([valuation], items)
     checked = 2**m

@@ -495,6 +495,8 @@ def test_bench_command(tmp_path, capsys, ratings_path, users_path):
      "ratings column map needs a 'user' entry"),
     (["validate", "--spot-check", "0"], "--spot-check must be at least 1, got 0"),
     (["validate", "--spot-check", "-5"], "--spot-check must be at least 1, got -5"),
+    (["validate", "--budget", "3"], "unrecognized arguments: --budget 3"),
+    (["validate", "--seed", "7"], "--seed needs --spot-check"),
     (["solve", "--algorithm", "eit-general", "--budget", "-1"],
      "--budget must be at least 0, got -1"),
     # str.isdigit() accepts superscripts, which int() refuses
@@ -502,7 +504,8 @@ def test_bench_command(tmp_path, capsys, ratings_path, users_path):
      "bad column mapping entry 'rating=\u00b2'"),
     (["check", "--properties", "eq\u00b3"], "unknown property 'eq\u00b3'"),
 ], ids=["bench-items", "bench-budget", "ratings-map-no-rating", "ratings-map-empty",
-        "spot-check-zero", "spot-check-negative", "solve-budget",
+        "spot-check-zero", "spot-check-negative", "validate-budget", "validate-seed-alone",
+        "solve-budget",
         "ratings-map-superscript", "check-eq-superscript"])
 def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, ratings_path,
                                               users_path, argv, message):

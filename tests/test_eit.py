@@ -193,9 +193,9 @@ def test_envy_graph_baseline_matches_only_empty_bundles(monkeypatch):
     runs = []
     kernel = valuations.max_weight_matching
 
-    def counting(items, members, weight):
+    def counting(items, members, edges):
         runs.append((tuple(members), frozenset(items)))
-        return kernel(items, members, weight)
+        return kernel(items, members, edges)
 
     monkeypatch.setattr(valuations, "max_weight_matching", counting)
     weighted = [case for case in _ROTATING

@@ -3,10 +3,49 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
+from rankfair.core import Instance
+from rankfair.eit import max_utilitarian_welfare
 from rankfair.matching import max_weight_matching
-from rankfair.valuations import BinaryAssignmentValuation
+from rankfair.valuations import AssignmentValuation, BinaryAssignmentValuation
 
-from test_valuations import brute_force_matching_value
+
+def brute_force_matching_value(items, members, weight):
+    """Best total weight over all injective item-to-member maps.
+
+    Exponential reference implementation: independent of the augmenting-path
+    code under test, used as ground truth on small inputs.
+    """
+    items = list(items)
+    best = [0]
+
+    def rec(k, used, total):
+        if k == len(items):
+            if total > best[0]:
+                best[0] = total
+            return
+        rec(k + 1, used, total)
+        for mb in members:
+            if mb in used:
+                continue
+            w = weight(mb, items[k])
+            if w > 0:
+                rec(k + 1, used | {mb}, total + w)
+
+    rec(0, frozenset(), 0)
+    return best[0]
+
+
+def _integer_edges(items, members, weight) -> tuple:
+    """(scale, item -> {member: weight * scale}) of a weight table, as
+    ``AssignmentValuation._edges`` builds it: members in order, non-positive
+    weights dropped, scale the LCM of the kept weights' denominators."""
+    kept = {(it, mb): Fraction(w) for it in items for mb in members
+            if (w := weight(mb, it)) > 0}
+    scale = lcm(*(w.denominator for w in kept.values()))
+    edges = {}
+    for (it, mb), w in kept.items():
+        edges.setdefault(it, {})[mb] = int(w * scale)
+    return scale, edges
 
 
 def _reference_max_cardinality_matching(items, members, adjacent) -> dict:
@@ -86,18 +125,17 @@ def test_cardinality_matches_the_reference_kernel():
 
 def test_weight_prefers_heavy_assignment():
     weights = {("m1", "a"): 5, ("m1", "b"): 4, ("m2", "a"): 3}
-
-    def weight(mb, it):
-        return weights.get((mb, it), 0)
-
-    total, witness = max_weight_matching(["a", "b"], ["m1", "m2"], weight)
+    _, edges = _integer_edges(["a", "b"], ["m1", "m2"],
+                             lambda mb, it: weights.get((mb, it), 0))
+    total, witness = max_weight_matching(["a", "b"], ["m1", "m2"], edges)
     assert total == 7
     assert witness == {"a": "m2", "b": "m1"}
 
 
 def test_weight_zero_edges_never_matched():
-    total, witness = max_weight_matching(
-        ["a", "b"], ["m1", "m2"], lambda mb, it: 0)
+    scale, edges = _integer_edges(["a", "b"], ["m1", "m2"], lambda mb, it: 0)
+    assert (scale, edges) == (1, {})
+    total, witness = max_weight_matching(["a", "b"], ["m1", "m2"], edges)
     assert total == 0 and witness == {}
 
 
@@ -112,9 +150,11 @@ def test_weight_matches_brute_force_fuzz():
         def weight(mb, it):
             return table.get((mb, it), 0)
 
-        total, witness = max_weight_matching(items, members, weight)
-        assert total == brute_force_matching_value(items, members, weight)
-        assert sum(weight(mb, it) for it, mb in witness.items()) == total
+        scale, edges = _integer_edges(items, members, weight)
+        total, witness = max_weight_matching(items, members, edges)
+        assert type(total) is int
+        assert Fraction(total, scale) == brute_force_matching_value(items, members, weight)
+        assert sum(weight(mb, it) for it, mb in witness.items()) == Fraction(total, scale)
         assert len(set(witness.values())) == len(witness)
         assert all(weight(mb, it) > 0 for it, mb in witness.items())
 
@@ -124,13 +164,10 @@ def test_weight_witness_deterministic():
     items = ["o%d" % k for k in range(5)]
     members = ["m%d" % k for k in range(4)]
     table = {(mb, it): rng.randint(0, 3) for mb in members for it in items}
-
-    def weight(mb, it):
-        return table[(mb, it)]
-
-    first = max_weight_matching(items, members, weight)
+    _, edges = _integer_edges(items, members, lambda mb, it: table[(mb, it)])
+    first = max_weight_matching(items, members, edges)
     for _ in range(3):
-        assert max_weight_matching(items, members, weight) == first
+        assert max_weight_matching(items, members, edges) == first
 
 
 def _reference_max_weight_matching(items, members, weight):
@@ -246,17 +283,17 @@ def test_integer_kernel_matches_the_reference_kernel():
         def weight(mb, it):
             return table.get((mb, it), 0)
 
-        got = max_weight_matching(items, members, weight)
+        scale, edges = _integer_edges(items, members, weight)
+        got = max_weight_matching(items, members, edges)
         want = _reference_max_weight_matching(items, members, weight)
-        assert got == want
-        assert type(got[0]) is type(want[0])
+        assert type(got[0]) is int and Fraction(got[0], scale) == want[0]
         assert list(got[1].items()) == list(want[1].items())
         positive = [w for w in table.values() if w > 0]
         if not items or not members:
             seen["empty side"] += 1
         elif not positive:
             seen["no positive weight"] += 1
-        seen[type(got[0]).__name__] += 1
+        seen[type(want[0]).__name__] += 1
         if any(w < 0 for w in table.values()):
             seen["negative weight"] += 1
         if lcm(*(Fraction(w).denominator for w in positive)) > 10 ** 6:
@@ -268,11 +305,31 @@ def test_integer_kernel_matches_the_reference_kernel():
 
 
 def test_total_type_follows_the_matched_weights():
-    # Fraction(3, 1) is still a Fraction; an unmatched Fraction does not count
-    assert max_weight_matching(["a"], ["m"], lambda mb, it: Fraction(3, 1)) == (3, {"a": "m"})
-    assert type(max_weight_matching(["a"], ["m"], lambda mb, it: Fraction(3, 1))[0]) is Fraction
-    weights = {("m", "a"): 2, ("m", "b"): Fraction(1, 2)}
-    total, witness = max_weight_matching(["a", "b"], ["m"], lambda mb, it: weights[(mb, it)])
-    assert (total, type(total), witness) == (2, int, {"a": "m"})
-    total, witness = max_weight_matching([], ["m"], lambda mb, it: 1)
-    assert (total, type(total), witness) == (0, int, {})
+    """The welfare optimum is a Fraction when some matched weight is one, an
+    int otherwise; a valuation's value is an int whenever it is whole."""
+    def welfare(weights, items):
+        valuations = {"p%d" % k: AssignmentValuation(tuple(rows), rows)
+                      for k, rows in enumerate(weights)}
+        return max_utilitarian_welfare(
+            Instance(agents=tuple(valuations), items=items, valuations=valuations))
+
+    def value(rows, items):
+        return AssignmentValuation(tuple(rows), rows).value(items)
+
+    # a whole Fraction weight is stored as an int
+    for got in (welfare([{"m": {"a": Fraction(3, 1)}}], ("a",)),
+                value({"m": {"a": Fraction(3, 1)}}, {"a"})):
+        assert (got, type(got)) == (3, int)
+    # an unmatched Fraction does not count
+    rows = {"m": {"a": 2, "b": Fraction(1, 2)}}
+    for got in welfare([rows], ("a", "b")), value(rows, {"a", "b"}):
+        assert (got, type(got)) == (2, int)
+    assert AssignmentValuation(("m",), rows).assignment_value({"a", "b"})[1] == {"a": "m"}
+    # matched Fractions summing to a whole number
+    halves = [{"m": {"a": Fraction(1, 2)}}, {"n": {"b": Fraction(1, 2)}}]
+    got = welfare(halves, ("a", "b"))
+    assert (got, type(got)) == (1, Fraction)
+    got = value({**halves[0], **halves[1]}, {"a", "b"})
+    assert (got, type(got)) == (1, int)
+    for got in welfare([{"m": {"a": 1}}], ()), value({"m": {"a": 1}}, ()):
+        assert (got, type(got)) == (0, int)

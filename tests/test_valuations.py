@@ -6,7 +6,6 @@ import pytest
 from rankfair import valuations
 from rankfair.balanced_flow import leximin_flow_allocation
 from rankfair.core import BudgetExceeded, Instance
-from rankfair.matching import max_weight_matching
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
                                  BinaryAdditiveValuation,
                                  BinaryAssignmentValuation, EXHAUSTIVE_LIMIT,
@@ -16,32 +15,7 @@ from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
 
 from fixtures import nonsubmodular_pair_instance
 from randgen import random_transversal
-
-
-def brute_force_matching_value(items, members, weight):
-    """Best total weight over all injective item-to-member maps.
-
-    Exponential reference implementation: independent of the augmenting-path
-    code under test, used as ground truth on small inputs.
-    """
-    items = list(items)
-    best = [0]
-
-    def rec(k, used, total):
-        if k == len(items):
-            if total > best[0]:
-                best[0] = total
-            return
-        rec(k + 1, used, total)
-        for mb in members:
-            if mb in used:
-                continue
-            w = weight(mb, items[k])
-            if w > 0:
-                rec(k + 1, used | {mb}, total + w)
-
-    rec(0, frozenset(), 0)
-    return best[0]
+from test_matching import _reference_max_weight_matching, brute_force_matching_value
 
 
 def test_binary_additive_counts_approved():
@@ -94,7 +68,8 @@ def test_assignment_value_matches_brute_force_fuzz():
         }
         v = AssignmentValuation(members, weights)
         got = v.value(frozenset(items))
-        want = brute_force_matching_value(items, members, v.weight)
+        want = brute_force_matching_value(items, members,
+                                          lambda mb, it: v.weights[mb].get(it, 0))
         assert got == want
 
 
@@ -107,11 +82,11 @@ def test_assignment_witness_is_consistent_and_zero_free():
                    for mb in members}
         v = AssignmentValuation(members, weights)
         value, witness = v.assignment_value(frozenset(items))
-        assert sum(v.weight(mb, it) for it, mb in witness.items()) == value
+        assert sum(v.weights[mb].get(it, 0) for it, mb in witness.items()) == value
         assert len(set(witness.values())) == len(witness)
         for it, mb in witness.items():
             assert it in items
-            assert v.weight(mb, it) > 0
+            assert v.weights[mb].get(it, 0) > 0
 
 
 def _value_with_valuation(rng):
@@ -139,9 +114,11 @@ def _value_with_valuation(rng):
         members, {mb: {it: draw() for it in row} for mb, row in rows.items()})
 
 
-def _kernel_value(valuation, bundle):
-    return _norm(max_weight_matching(sorted(bundle), valuation.members,
-                                     valuation.weight)[0])
+def _reference_matching(valuation, bundle):
+    """The reference kernel's (value, witness) of bundle under valuation."""
+    total, witness = _reference_max_weight_matching(
+        sorted(bundle), valuation.members, lambda mb, it: valuation.weights[mb].get(it, 0))
+    return _norm(total), witness
 
 
 def test_value_with_matches_the_kernel(monkeypatch):
@@ -175,15 +152,14 @@ def test_value_with_matches_the_kernel(monkeypatch):
         for grow in order:
             for o in items:
                 got = v.value_with(bundle, o)
-                want = _kernel_value(v, bundle | {o})
+                want = _reference_matching(v, bundle | {o})[0]
                 assert got == want and type(got) is type(want), (bundle, o)
                 cases += 1
             bundle |= {grow}
         assert kernel_runs == ([] if cached else [start])
         if type(v) is AssignmentValuation:
             # a bundle first reached through value_with gets the kernel's witness
-            total, witness = max_weight_matching(sorted(bundle), v.members, v.weight)
-            assert v.assignment_value(bundle) == (_norm(total), witness)
+            assert v.assignment_value(bundle) == _reference_matching(v, bundle)
     assert cases >= 2000
 
 
