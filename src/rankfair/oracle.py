@@ -153,7 +153,7 @@ def _tables(instance: Instance, complete_only: bool, budget: int, valuations=Non
         valuations = [instance.valuation(agent) for agent in instance.agents]
     if (instance.n if complete_only else instance.n + 1) < 2:
         return [[valuation.value(frozenset(items))] for valuation in valuations]
-    return subset_tables(valuations, items)[1]
+    return subset_tables(valuations, items)
 
 
 def _digit_masks(n, base, length):

@@ -31,9 +31,16 @@ assignment_value's witness, and writes the grown one only to the store.
 Witnesses never come from the store: value() and assignment_value() read
 only their cache of matchings from scratch, so the matchings that waste
 accounting and the transfer heuristics see stay those.  A truncation has value_with
-only when its inner valuation has it.  ``subset_tables`` grows every
-subset from its predecessor by one item through value_with wherever a
-valuation has it, and values each subset afresh otherwise.
+only when its inner valuation has it.
+
+``subset_tables`` gives every subset's value as a list in bitmask order.
+The explicit families read theirs off their matroid's structure through
+subset_table(items): binary additive counts approved items, (0,1)-OXS
+takes Ore's deficiency form of Hall's theorem over its member sets (up to
+_TABLE_MEMBERS members), and a truncation caps its inner table.  Every
+other table is grown, each subset from its predecessor by one item
+through value_with wherever a valuation has it, and each subset valued
+afresh otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ from .core import BudgetExceeded
 from .matching import max_weight_matching
 
 EXHAUSTIVE_LIMIT = 14
+# The most members for which a (0,1)-OXS valuation reads its table off its
+# 2^p member sets; past it, growing the table by augmenting paths is faster.
+_TABLE_MEMBERS = 7
 
 
 def _norm(value):
@@ -62,6 +72,31 @@ def _norm(value):
 def _unscaled(total, scale):
     """total / scale exactly: an int when whole, else a Fraction."""
     return total // scale if total % scale == 0 else Fraction(total, scale)
+
+
+def _mask(chosen, items):
+    """The bitmask of the items in ``chosen``; bit p stands for items[p]."""
+    return sum(1 << p for p, item in enumerate(items) if item in chosen)
+
+
+def _subset(items, mask):
+    """The subset of ``items`` whose bits are set in ``mask``."""
+    return frozenset(item for p, item in enumerate(items) if mask >> p & 1)
+
+
+def _table_of(valuation, items):
+    """The valuation's subset_table(items), or None when it has none."""
+    table = getattr(valuation, "subset_table", None)
+    return None if table is None else table(items)
+
+
+def _counts(mask, m, base=0):
+    """[base + |s & mask| for every mask s of m bits], by doubling: the masks
+    with bit p follow those without it, one higher where ``mask`` has bit p."""
+    row = [base]
+    for p in range(m):
+        row += [x + 1 for x in row] if mask >> p & 1 else row
+    return row
 
 
 @dataclass(frozen=True)
@@ -86,6 +121,10 @@ class BinaryAdditiveValuation:
     def coloops(self, bundle):
         """Removing an approved item costs 1, any other item nothing."""
         return self.approved & bundle
+
+    def subset_table(self, items):
+        """Every subset's value: its count of approved items."""
+        return _counts(_mask(self.approved, items), len(items))
 
 
 class AssignmentValuation:
@@ -356,6 +395,26 @@ class BinaryAssignmentValuation(AssignmentValuation):
                     stack.append(x)
         return set(witness) - free
 
+    def subset_table(self, items):
+        """Every subset's value by Ore's deficiency form of Hall's theorem.
+
+        A maximum matching of S has size min over the sets T of the p
+        members of p - |T| + |N(T) & S| (König: T's complement and N(T) & S
+        cover every edge).  Only the least p - |T| for each distinct
+        N(T) & items matters, so the table is the least of one count per
+        distinct neighbourhood.  None past _TABLE_MEMBERS members.
+        """
+        if len(self.members) > _TABLE_MEMBERS:
+            return None
+        least = {0: len(self.members)}  # N(T) & items as a mask -> least p - |T|
+        for member in self.members:
+            reach = _mask(self.adjacency[member], items)
+            for covered, off in list(least.items()):
+                if least.get(covered | reach, off) > off - 1:
+                    least[covered | reach] = off - 1
+        rows = [_counts(covered, len(items), off) for covered, off in least.items()]
+        return rows[0] if len(rows) == 1 else list(map(min, *rows))
+
 
 @dataclass(frozen=True)
 class TruncatedValuation:
@@ -406,6 +465,11 @@ class TruncatedValuation:
         if value_with is None:
             return None
         return lambda bundle, item: min(value_with(bundle, item), self.cap)
+
+    def subset_table(self, items):
+        """The inner table capped; None when the inner valuation has none."""
+        table, cap = _table_of(self.inner, items), self.cap
+        return None if table is None else [value if value < cap else cap for value in table]
 
 
 @dataclass(frozen=True)
@@ -464,28 +528,41 @@ def is_matroid_rank_family(valuation) -> bool:
         w == 1 for row in valuation.weights.values() for w in row.values())
 
 
-def subset_tables(valuations, items) -> tuple:
-    """(subsets, tables) over every subset of ``items``; bit p stands for items[p].
+def subset_tables(valuations, items) -> list:
+    """tables[k][mask]: the k-th valuation's value of the subset of ``items``
+    whose bits are set in mask; bit p stands for items[p].
 
-    subsets[mask] is the frozenset and tables[k][mask] its value under the
-    k-th valuation.  Each subset is its predecessor subsets[mask ^ low] plus
-    its lowest item, and a valuation with value_with grows it so, one item
-    at a time; the others value it afresh.  The caller bounds the cost of
-    2^len(items) values each.
+    A valuation whose subset_table(items) answers reads its table off its
+    matroid's structure.  Every other table is grown: each subset is its
+    predecessor (mask without its lowest bit) plus its lowest item, and a
+    valuation with value_with grows it so, one item at a time; the others
+    value it afresh.  The caller bounds the cost of 2^len(items) values each.
     """
+    tables, subsets = [], None
+    for valuation in valuations:
+        table = _table_of(valuation, items)
+        if table is None:
+            if subsets is None:
+                subsets, steps = _subsets(items)
+            grow = getattr(valuation, "value_with", None)
+            table = ([valuation.value(subset) for subset in subsets] if grow is None
+                     else [valuation.value(subsets[0]), *starmap(grow, steps)])
+        tables.append(table)
+    return tables
+
+
+def _subsets(items) -> tuple:
+    """(subsets, steps): subsets[mask] is the frozenset of mask's items, each
+    its predecessor subsets[mask ^ low] plus its lowest item, and steps holds
+    that (predecessor, item) pair for every non-empty mask in order."""
     subsets = [frozenset()] * (1 << len(items))
-    steps = []  # (predecessor, its one new item) for every non-empty subset
+    steps = []
     for mask in range(1, len(subsets)):
         low = mask & -mask
         parent, item = subsets[mask ^ low], items[low.bit_length() - 1]
         steps.append((parent, item))
         subsets[mask] = parent | {item}
-    tables = []
-    for valuation in valuations:
-        grow = getattr(valuation, "value_with", None)
-        tables.append([valuation.value(subset) for subset in subsets] if grow is None
-                      else [valuation.value(subsets[0]), *starmap(grow, steps)])
-    return subsets, tables
+    return subsets, steps
 
 
 @dataclass(frozen=True)
@@ -526,7 +603,7 @@ def verify_matroid_rank(valuation, items) -> RankReport:
     if m > EXHAUSTIVE_LIMIT:
         raise BudgetExceeded("exhaustive matroid-rank verification", 2**m, 2**EXHAUSTIVE_LIMIT)
 
-    subset, (table,) = subset_tables([valuation], items)
+    (table,) = subset_tables([valuation], items)
     checked = 2**m
 
     if table[0] != 0:
@@ -547,7 +624,7 @@ def verify_matroid_rank(valuation, items) -> RankReport:
                 return RankReport(
                     False,
                     "monotonicity" if gain < 0 else "binary marginals",
-                    {"subset": subset[mask], "item": items[bit.bit_length() - 1],
+                    {"subset": _subset(items, mask), "item": items[bit.bit_length() - 1],
                      "gain": gain},
                     checked,
                 )
@@ -570,7 +647,7 @@ def verify_matroid_rank(valuation, items) -> RankReport:
                 False,
                 "submodularity",
                 {
-                    "subset": subset[mask],
+                    "subset": _subset(items, mask),
                     "item": items[bit.bit_length() - 1],
                     "context_item": items[bit2.bit_length() - 1],
                     "gain_without": table[mask | bit] - table[mask],

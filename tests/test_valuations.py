@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankfair import valuations
+from rankfair import oracle, valuations
 from rankfair.balanced_flow import leximin_flow_allocation
 from rankfair.core import BudgetExceeded, Instance
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
@@ -14,7 +14,7 @@ from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
                                  spot_check_matroid_rank, verify_matroid_rank)
 
 from fixtures import nonsubmodular_pair_instance
-from randgen import random_transversal
+from randgen import random_matroid_instance, random_transversal
 from test_matching import _reference_max_weight_matching, brute_force_matching_value
 
 
@@ -189,9 +189,17 @@ def _table_valuation_maker(rng, items):
     return kind, lambda: BinaryAssignmentValuation(rows)
 
 
-def test_grown_tables_match_per_subset_values():
+def _subsets(items):
+    return [frozenset(items[p] for p in range(len(items)) if mask >> p & 1)
+            for mask in range(1 << len(items))]
+
+
+def test_grown_tables_match_per_subset_values(monkeypatch):
     """Tables grown one item at a time hold what value() gives each subset,
-    with the same number types, and leave the kernel's witnesses alone."""
+    with the same number types, and leave the kernel's witnesses alone.
+    No (0,1)-OXS valuation reads its table off its member sets here, so
+    every table of this test is grown."""
+    monkeypatch.setattr(valuations, "_TABLE_MEMBERS", -1)
     rng = random.Random(9090)
     kinds = set()
     for _ in range(240):
@@ -199,13 +207,147 @@ def test_grown_tables_match_per_subset_values():
         kind, make = _table_valuation_maker(rng, items)
         kinds.add(kind)
         valuation, fresh = make(), make()
-        subsets, (table,) = valuations.subset_tables([valuation], items)
+        assert getattr(valuation, "subset_table", lambda items: None)(items) is None
+        subsets = _subsets(items)
+        (table,) = valuations.subset_tables([valuation], items)
         assert list(map(repr, table)) == [repr(fresh.value(s)) for s in subsets], kind
         kernel = getattr(valuation, "inner", valuation)
         fresh_kernel = getattr(fresh, "inner", fresh)
         for bundle in rng.sample(subsets, min(8, len(subsets))):
             assert kernel.assignment_value(bundle) == fresh_kernel.assignment_value(bundle)
     assert kinds == {"transversal", "truncated", "weighted", "scaled"}
+
+
+def _structured_valuation_maker(rng, items):
+    """(kind, make) for a seeded binary additive or (0,1)-OXS valuation over
+    items, or a truncation (cap 0 to m + 1) of one, or of a truncation.
+
+    Approved and adjacent items include some outside ``items``; some items
+    are in no member's adjacency, some members take no item, and a (0,1)-OXS
+    valuation may have no member at all.
+    """
+    outside = ["x%d" % k for k in range(3)]
+    untaken = set(rng.sample(items, rng.randint(0, len(items) // 2)))
+    pool = [it for it in items if it not in untaken] + outside
+    members = ["m%d" % k for k in range(rng.randint(0, valuations._TABLE_MEMBERS))]
+    density = rng.choice((0.2, 0.45, 0.7))
+    rows = {mb: {it for it in pool if rng.random() < density} for mb in members}
+    if members and rng.random() < 0.5:
+        rows[rng.choice(members)] = set()
+    approved = {it for it in pool if rng.random() < 0.6}
+    caps = [rng.randint(0, len(items) + 1) for _ in range(2)]
+    kind = rng.choice(("additive", "transversal", "truncated additive",
+                       "truncated transversal", "truncated truncation"))
+    if kind == "additive":
+        return kind, lambda: BinaryAdditiveValuation(approved)
+    if kind == "transversal":
+        return kind, lambda: BinaryAssignmentValuation(rows)
+    if kind == "truncated additive":
+        return kind, lambda: TruncatedValuation(BinaryAdditiveValuation(approved), caps[0])
+    if kind == "truncated transversal":
+        return kind, lambda: TruncatedValuation(BinaryAssignmentValuation(rows), caps[0])
+    return kind, lambda: TruncatedValuation(
+        TruncatedValuation(BinaryAssignmentValuation(rows), caps[0]), caps[1])
+
+
+def test_structured_tables_match_per_subset_values():
+    """subset_table(items) holds what value() gives each subset, in mask order and
+    with the same number types, for every family that has one."""
+    rng = random.Random(4242)
+    kinds, members, caps = set(), set(), set()
+    for _ in range(400):
+        items = ["o%d" % k for k in range(rng.randint(0, 10))]
+        kind, make = _structured_valuation_maker(rng, items)
+        kinds.add(kind)
+        valuation, fresh = make(), make()
+        table = valuation.subset_table(items)
+        assert list(map(repr, table)) == [repr(fresh.value(s)) for s in _subsets(items)], kind
+        assert valuations.subset_tables([valuation], items) == [table]
+        kernel = valuation
+        while isinstance(kernel, TruncatedValuation):
+            caps.add("0" if kernel.cap == 0 else "m + 1" if kernel.cap > len(items)
+                     else "m" if kernel.cap == len(items) else "between")
+            kernel = kernel.inner
+        if isinstance(kernel, BinaryAssignmentValuation):
+            members.add(len(kernel.members))
+    assert len(kinds) == 5
+    assert members == set(range(valuations._TABLE_MEMBERS + 1)), members
+    assert caps == {"0", "between", "m", "m + 1"}, caps
+
+
+def test_tables_past_the_member_cutoff_are_grown():
+    """Past _TABLE_MEMBERS members a (0,1)-OXS valuation, and a truncation
+    of it, have no table, and subset_tables grows theirs."""
+    rng = random.Random(5151)
+    for _ in range(20):
+        items = ["o%d" % k for k in range(rng.randint(0, 7))]
+        rows = {"m%d" % k: {it for it in items if rng.random() < 0.45}
+                for k in range(valuations._TABLE_MEMBERS + rng.randint(1, 3))}
+        cap = rng.randint(0, len(items) + 1)
+        for make in (lambda: BinaryAssignmentValuation(rows),
+                     lambda: TruncatedValuation(BinaryAssignmentValuation(rows), cap)):
+            valuation, fresh = make(), make()
+            assert valuation.subset_table(items) is None
+            (table,) = valuations.subset_tables([valuation], items)
+            assert list(map(repr, table)) == [repr(fresh.value(s)) for s in _subsets(items)]
+
+
+def test_other_families_have_no_table():
+    """Weighted, scaled and all-or-nothing valuations have no subset_table query,
+    and a truncation of a weighted or scaled valuation answers None; their
+    tables are grown."""
+    rng = random.Random(6262)
+    seen = set()
+    for _ in range(60):
+        items = ["o%d" % k for k in range(rng.randint(0, 6))]
+        kind, make = _table_valuation_maker(rng, items)
+        if kind not in ("weighted", "scaled"):
+            continue
+        seen.add(kind)
+        cap = rng.randint(0, len(items) + 1)
+        assert not hasattr(make(), "subset_table")
+        capped, fresh = TruncatedValuation(make(), cap), TruncatedValuation(make(), cap)
+        assert capped.subset_table(items) is None
+        (table,) = valuations.subset_tables([capped], items)
+        assert list(map(repr, table)) == [repr(fresh.value(s)) for s in _subsets(items)]
+    assert seen == {"weighted", "scaled"}
+    assert not hasattr(AllOrNothingValuation({"a", "b"}), "subset_table")
+
+
+def test_structured_tables_make_no_value_queries(monkeypatch):
+    """On 3 x 9 mixed matroid rank instances the oracle's tables and the rank
+    verifier ask no valuation for value, value_with or assignment_value."""
+    calls = []
+
+    def counted(cls, name):
+        method = cls.__dict__[name]
+
+        def wrapper(*args, **kwargs):
+            calls.append((cls.__name__, name))
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, names in ((BinaryAdditiveValuation, ("value",)),
+                       (AssignmentValuation, ("value", "assignment_value", "value_with")),
+                       (BinaryAssignmentValuation, ("assignment_value",)),
+                       (TruncatedValuation, ("value",))):
+        for name in names:
+            counted(cls, name)
+    rng = random.Random(2424)
+    kinds = set()
+    for _ in range(6):
+        inst = random_matroid_instance(rng, n=3, m=9)  # values the empty bundle
+        kinds.update(type(v).__name__ + type(getattr(v, "inner", v)).__name__
+                     for v in map(inst.valuation, inst.agents))
+        calls.clear()
+        tables = oracle._tables(inst, False, 4 ** 9)
+        for agent in inst.agents:
+            assert verify_matroid_rank(inst.valuation(agent), inst.items).ok
+        assert calls == []
+        assert [inst.value(agent, inst.items) for agent in inst.agents] == [
+            table[-1] for table in tables]
+        assert calls  # the counters count
+    assert len(kinds) == 4, kinds
 
 
 def test_truncation_grows_only_what_its_inner_valuation_grows():
