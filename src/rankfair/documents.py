@@ -22,6 +22,10 @@ from .valuations import (
 
 SCHEMA_VERSION = 1
 
+# The most truncated and scaled wrappers one valuation may stack: every
+# query recurses through them all, so a deeper stack exhausts the interpreter.
+MAX_NESTING = 100
+
 
 class DocumentError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None,
@@ -80,10 +84,15 @@ def _identifiers(value, what: str) -> frozenset:
     return frozenset(value)
 
 
-def descriptor_to_valuation(descriptor: Mapping, where: str, referenced: set):
-    """The valuation a descriptor describes; its item identifiers join ``referenced``."""
+def descriptor_to_valuation(descriptor: Mapping, where: str, referenced: set,
+                            depth: int = 0):
+    """The valuation a descriptor describes; its item identifiers join
+    ``referenced``.  ``depth`` counts the wrappers around it."""
     if not isinstance(descriptor, Mapping) or "type" not in descriptor:
         raise DocumentError("%s descriptor must be an object with a type" % where)
+    if depth > MAX_NESTING:
+        raise DocumentError("%s nests truncated and scaled valuations more than %d deep"
+                            % (where, MAX_NESTING))
 
     def items(value, key):
         found = _identifiers(value, "%s %s" % (where, key))
@@ -116,11 +125,11 @@ def descriptor_to_valuation(descriptor: Mapping, where: str, referenced: set):
             if not isinstance(cap, int) or isinstance(cap, bool):
                 raise DocumentError("%s cap must be an integer" % where)
             return TruncatedValuation(
-                descriptor_to_valuation(descriptor["inner"], where, referenced), cap)
+                descriptor_to_valuation(descriptor["inner"], where, referenced, depth + 1), cap)
         if kind == "scaled":
             lam = _exact_in(descriptor["lambda"], "%s lambda" % where)
             return ScaledValuation(
-                descriptor_to_valuation(descriptor["inner"], where, referenced), lam)
+                descriptor_to_valuation(descriptor["inner"], where, referenced, depth + 1), lam)
         if kind == "all_or_nothing":
             return AllOrNothingValuation(items(descriptor["required"], "required"))
     except DocumentError:
@@ -231,7 +240,7 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise DocumentError("invalid JSON: %s" % exc.msg,
                             line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # too many digits, or too deep
         raise DocumentError("invalid JSON: %s" % exc) from exc
 
 

@@ -8,14 +8,18 @@ to run past an explicit enumeration budget instead of silently degrading.
 The EF1 flag and witness of a pair come from ``core.ef1_pair``, the
 package's one EF1 rule.
 
-Pareto optimality and the maximin share both ask whether some allocation
-gives each agent a a value of at least c_a.  For the families that
-``valuations.is_matroid_rank_family`` vouches for, one matroid intersection
-over the valuations truncated at c answers it (``_reaches``); the others
-run on the enumeration oracle's block walk (``oracle._Walk``): the share
-from its vector ``counts``, and Pareto optimality from ``first``, the
-first dominating placement, which also names every Pareto witness.  Both
-paths refuse past the walk's enumeration budget (``oracle._gate``).
+For the families that ``valuations.is_matroid_rank_family`` vouches for,
+both Pareto optimality and each maximin share cost one intersection
+(``max_common_independent_set``).  An allocation is Pareto optimal iff its
+welfare is optimal: one augmenting path from a worse one, cleaned, raises
+one agent by 1 and no other agent's value moves.  Agent i's share is
+floor(W / n), W the optimum when all n agents value by v_i: n disjoint
+independent sets rebalance, by the augmentation axiom, to sizes within 1.
+The other families run on the enumeration oracle's block walk
+(``oracle._Walk``): the share from its vector ``counts``, and Pareto
+optimality from ``first``, the first dominating placement, which also
+names every Pareto witness.  Both paths refuse past the walk's
+enumeration budget (``oracle._gate``).
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
-from .core import ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance, ef1_pair
+from .core import (ENUMERATION_BUDGET, Allocation, BudgetExceeded, Instance, ef1_pair,
+                   values_vector)
 from .matroid_intersection import max_common_independent_set
 from .oracle import _Walk, _dominates, _gate, _tables
-from .valuations import TruncatedValuation, is_matroid_rank_family
+from .valuations import is_matroid_rank_family
 
 
 @dataclass(frozen=True)
@@ -237,20 +242,6 @@ def min_eqc(instance: Instance, allocation: Allocation,
     raise AssertionError("equitability scan failed to terminate")
 
 
-def _reaches(instance: Instance, valuations, targets) -> bool:
-    """Whether some allocation gives the k-th agent at least ``targets[k]``
-    under ``valuations[k]``, for every k; all are matroid rank functions.
-
-    Runs one intersection over the truncations at the targets: its clean
-    optimum is worth sum(targets) exactly when such an allocation exists.
-    """
-    capped = Instance(instance.agents, instance.items, {
-        agent: TruncatedValuation(valuation, target)
-        for agent, valuation, target in zip(instance.agents, valuations, targets)})
-    best = max_common_independent_set(capped)
-    return sum(map(len, best.bundles.values())) == sum(targets)
-
-
 _MMS_SCAN = "maximin-share partition enumeration"
 
 
@@ -267,21 +258,17 @@ def mms_share(instance: Instance, agent: str, budget: int = ENUMERATION_BUDGET):
     Parts may be empty, so the share is 0 whenever there are fewer items
     than agents.  Refuses over the budget of a scan of all n^m complete
     placements, whichever path answers.  For the matroid rank families the
-    share is the largest t for which the items hold n disjoint independent
-    sets of size t, found by ``_reaches`` for t = 1, 2, ... up to
-    min(m // n, v(M)), stopping at the first failure.  (A bound of
-    v(M) // n would be wrong: four items of a rank-3 matroid can still give
-    each of 4 parts value 1.)  Other valuations are answered by that scan.
+    share is floor(W / n), W the optimum welfare when every agent values by
+    ``agent``'s valuation; v(M) // n may be less (four parts of a rank-3
+    matroid's four items can each be worth 1).  Others are scanned.
     """
     valuation = instance.valuation(agent)
     if not is_matroid_rank_family(valuation):
         return _mms_scan(instance, valuation, budget)
     _gate(instance, True, budget, _MMS_SCAN)
-    n, share = instance.n, 0
-    top = min(instance.m // n, valuation.value(frozenset(instance.items)))
-    while share < top and _reaches(instance, [valuation] * n, [share + 1] * n):
-        share += 1
-    return share
+    alike = Instance(instance.agents, instance.items,
+                     dict.fromkeys(instance.agents, valuation))
+    return len(max_common_independent_set(alike).allocated_items()) // instance.n
 
 
 def check_mms(instance: Instance, allocation: Allocation,
@@ -314,18 +301,14 @@ def check_po_bruteforce(instance: Instance, allocation: Allocation,
     (False, witness) with the first dominating allocation in enumeration
     order (items in index order, each placed with agent 1, agent 2, ...,
     withheld last).  Refuses over the budget of that scan, whichever path
-    answers.  For the matroid rank families, the allocation with values c
-    is dominated iff ``_reaches`` c + e_k for some agent k, and the scan
-    runs only to name the witness of a dominated allocation; other
-    valuations are answered by the scan.
+    answers.  For the matroid rank families, the allocation is dominated
+    iff its welfare is below the optimum, and the scan runs only to name
+    the witness; other valuations are answered by the scan.
     """
     _gate(instance, False, budget)
-    valuations = [instance.valuation(agent) for agent in instance.agents]
-    current = tuple(valuation.value(allocation.bundle(agent))
-                    for agent, valuation in zip(instance.agents, valuations))
-    if all(map(is_matroid_rank_family, valuations)) and not any(
-            _reaches(instance, valuations, current[:k] + (c + 1,) + current[k + 1:])
-            for k, c in enumerate(current)):
+    current = values_vector(instance, allocation)
+    if (all(is_matroid_rank_family(instance.valuation(a)) for a in instance.agents)
+            and sum(current) == len(max_common_independent_set(instance).allocated_items())):
         return True, None
     witness = _first_dominating(instance, current, budget)
     return witness is None, witness

@@ -290,23 +290,28 @@ class BinaryAssignmentValuation(AssignmentValuation):
         return 1, edges
 
     def _match(self, holder, items):
-        """Grow ``holder`` (member -> item) by one augmenting-path search from
-        each of ``items`` in turn, depth first, members in order.  A search
-        that fails leaves holder as it was."""
+        """Grow ``holder`` (member -> item) by a depth-first augmenting-path
+        search from each of ``items`` in turn, members in order, on a stack of
+        [item, member tried, members left].  A search that fails leaves holder
+        as it was."""
         _, edges = self._edges
-
-        def place(x):
-            for member in edges.get(x, ()):
-                if member not in seen:
-                    seen.add(member)
-                    if member not in holder or place(holder[member]):
-                        holder[member] = x
-                        return True
-            return False
-
         for item in items:
             seen = set()
-            place(item)
+            stack = [[item, None, iter(edges.get(item, ()))]]
+            while stack:
+                top = stack[-1]
+                for member in top[2]:
+                    if member not in seen:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                seen.add(member)
+                top[1] = member
+                if member not in holder:
+                    holder.update((mb, x) for x, mb, _ in stack)
+                    break
+                stack.append([holder[member], None, iter(edges[holder[member]])])
 
     def assignment_value(self, bundle) -> tuple:
         bundle = frozenset(bundle)

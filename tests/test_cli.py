@@ -14,7 +14,7 @@ import rankfair
 from rankfair import cli
 from rankfair.cli import main
 from rankfair.core import Allocation, Instance
-from rankfair.documents import dump_path, load_path, serialize_allocation, \
+from rankfair.documents import MAX_NESTING, dump_path, load_path, serialize_allocation, \
     serialize_instance
 from rankfair.valuations import BinaryAdditiveValuation
 
@@ -291,6 +291,18 @@ def test_oracle_budget_refusal(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prop", ["mms", "po"])
+def test_check_refuses_matroid_rank_certificates_past_the_budget(tmp_path, capsys, prop):
+    # (0,1)-OXS valuations: the intersection could answer, but the gate refuses first
+    instance = fixtures.two_group_matching_instance()
+    allocation = fixtures.balanced_split_allocation(instance)
+    code = main(["check", "--input", _write_instance(tmp_path, instance),
+                 "--allocation", _write_allocation(tmp_path, allocation, instance),
+                 "--properties", prop, "--budget", str(2 ** instance.m - 1)])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_check_and_oracle_reject_budget_below_one(fig_pair, capsys, budget):
     doc, alloc = fig_pair
@@ -359,6 +371,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["validate", "--input", str(oversized)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid JSON") and "Traceback" not in err
+
+
+def _truncated_chain(depth):
+    """An instance document whose one valuation nests ``depth`` truncations."""
+    return ('{"schema": 1, "items": ["o1"], "agents": [{"id": "a", "valuation": '
+            + '{"type": "truncated", "cap": 1, "inner": ' * depth
+            + '{"type": "binary_additive", "approved": ["o1"]}' + "}" * depth + "}]}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100_000 + "]" * 100_000, "error: invalid JSON: "),
+    (_truncated_chain(3000), "error: invalid JSON: "),
+    (_truncated_chain(2 * MAX_NESTING), "error: agent 'a' nests truncated and scaled valuations "),
+], ids=["brackets", "chain-past-the-parser", "chain-past-the-valuation"])
+def test_deeply_nested_documents_are_errors(tmp_path, capsys, text, message):
+    doc = tmp_path / "instance.json"
+    doc.write_text(text)
+    assert main(["validate", "--input", str(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and "Traceback" not in err
 
 
 def _validate_agent_valuation(tmp_path, capsys, valuation):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rankfair.core import Allocation, Instance
-from rankfair.documents import (DocumentError, dumps, loads, parse_allocation,
+from rankfair.documents import (MAX_NESTING, DocumentError, dumps, loads, parse_allocation,
                                 parse_instance, serialize_allocation,
                                 serialize_instance)
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
@@ -109,6 +109,19 @@ def test_parse_instance_wrong_schema_and_kind():
         parse_instance({"schema": 2, "items": [], "agents": []})
     with pytest.raises(DocumentError):
         parse_instance(_instance_doc({"type": "mystery"}))
+
+
+def test_parse_instance_bounds_the_wrapper_depth():
+    def wrapped(depth):
+        descriptor = {"type": "binary_additive", "approved": ["a"]}
+        for k in range(depth):
+            descriptor = ({"type": "truncated", "cap": 1, "inner": descriptor} if k % 2
+                          else {"type": "scaled", "lambda": "1", "inner": descriptor})
+        return _instance_doc(descriptor)
+
+    assert parse_instance(wrapped(MAX_NESTING)).value("p", {"a"}) == 1
+    with pytest.raises(DocumentError, match="more than %d deep" % MAX_NESTING):
+        parse_instance(wrapped(MAX_NESTING + 1))
 
 
 def test_parse_instance_detects_stray_items():

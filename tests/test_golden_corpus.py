@@ -6,6 +6,7 @@ SHA-256 of each command's exit code and stdout.  The corpus mixes matroid
 rank, (0,1)-OXS, scaled and all-or-nothing instances at 3 x 6 and 2 x 8,
 each with a seeded random allocation (partial, then complete) or the
 envy-graph baseline's, plus one allocation that is not Pareto optimal.
+A second, smaller set pins `check --properties mms,po` at 4 and 5 agents.
 """
 
 import hashlib
@@ -14,8 +15,9 @@ import random
 
 from rankfair.cli import main
 from rankfair.core import Allocation, Instance
-from rankfair.eit import envy_graph_baseline
 from rankfair.documents import dump_path, serialize_allocation, serialize_instance
+from rankfair.eit import envy_graph_baseline
+from rankfair.matroid_intersection import max_common_independent_set
 from rankfair.valuations import AllOrNothingValuation
 
 import fixtures
@@ -135,3 +137,39 @@ def test_exhaustive_commands_are_pinned(tmp_path, capsys):
            for instance, allocation in _corpus()]
     assert got == _GOLDEN
 
+
+def _larger_cases():
+    """Seeded 4 x 5 and 5 x 5 matroid-rank instances, each with a random
+    allocation, the intersection optimum less one item (dominated by the
+    optimum, since its bundles are clean) and the optimum itself."""
+    rng = random.Random(20261020)
+    for n in (4, 4, 5, 5):
+        instance = random_matroid_instance(rng, n=n, m=5)
+        optimum = max_common_independent_set(instance)
+        holder = next(a for a in instance.agents if optimum.bundle(a))
+        bundles = {a: set(optimum.bundle(a)) for a in instance.agents}
+        bundles[holder].remove(min(bundles[holder]))
+        for allocation in (random_allocation(rng, instance),
+                           Allocation.from_bundles(instance, bundles), optimum):
+            yield instance, allocation
+
+
+# check --properties mms,po: random, dominated, optimum; one line per instance
+_LARGER = [
+    "1410c809099c8d5f bdae6ecdd48ba62a b3faab4c12c30281",
+    "7ae98b39a3ec0e71 b6b6ba74b9e4beaf e6d9cad29eb77dfc",
+    "2e5c515ed5e3cfcc e875ab594c7a088f 694099f510fab891",
+    "f920ac54c7cb00d3 d5489aa4b930ba9c b3faab4c12c30281",
+]
+
+
+def test_shares_and_pareto_verdicts_are_pinned_past_three_agents(tmp_path, capsys):
+    doc = str(tmp_path / "instance.json")
+    alloc = str(tmp_path / "allocation.json")
+    got = []
+    for instance, allocation in _larger_cases():
+        dump_path(serialize_instance(instance), doc)
+        dump_path(serialize_allocation(allocation, instance), alloc)
+        got.append(_digest(_run(capsys, ["check", "--input", doc, "--allocation", alloc,
+                                         "--properties", "mms,po", "--format", "machine"])))
+    assert [" ".join(got[k:k + 3]) for k in range(0, len(got), 3)] == _LARGER

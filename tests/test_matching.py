@@ -89,6 +89,18 @@ def test_cardinality_empty_and_saturated():
     assert size == len(match) == 1
 
 
+def test_cardinality_follows_a_path_through_thousands_of_members():
+    """Member j is adjacent to items j and j + 1.  The items sort in
+    descending order, so each takes its lower member until item 0, whose
+    search runs the whole chain: past item 3,000 to the free last member
+    when item 3,001 is left out, and to a dead end when it is in."""
+    n = 3001
+    item = ["o%04d" % (n - j) for j in range(n + 1)]
+    v = BinaryAssignmentValuation({"c%04d" % j: {item[j], item[j + 1]} for j in range(n)})
+    assert v.value(frozenset(item[:n])) == n
+    assert v.value(frozenset(item)) == n
+
+
 def test_cardinality_matches_the_reference_kernel():
     """assignment_value's witness is the former kernel's, item for item and
     in iteration order, on seeded (0,1) adjacencies over a wider ground set."""

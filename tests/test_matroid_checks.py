@@ -1,10 +1,11 @@
 """Pareto optimality and maximin shares by matroid intersection, against the scan.
 
-For the matroid rank families, ``check_po_bruteforce`` and ``mms_share``
-decide by ``fairness._reaches`` (one intersection over truncations) and
-walk placements only to name a Pareto witness.  The scans they replace,
-``fairness._first_dominating`` and ``fairness._mms_scan``, are called here
-directly as the reference.
+For the matroid rank families, ``check_po_bruteforce`` compares the
+allocation's welfare with one intersection optimum and walks placements
+only to name a Pareto witness; ``mms_share`` floor-divides by n the
+optimum of the instance in which every agent values by the one agent's
+valuation.  The scans they replace, ``fairness._first_dominating`` and
+``fairness._mms_scan``, are called here directly as the reference.
 """
 
 import random
@@ -20,15 +21,15 @@ from rankfair.valuations import BinaryAssignmentValuation, TruncatedValuation
 
 from randgen import random_allocation, random_matroid_instance
 
-# The largest m drawn for n agents: (n + 1)^m stays at most 16,384 placements,
-# so the reference scans of 300 instances fit in about a second.
-MAX_M = {1: 8, 2: 8, 3: 7, 4: 6}
+# The largest m drawn for n agents: (n + 1)^m stays at most 7^6 = 117,649
+# placements, so the reference scans of 300 instances fit in about a second.
+MAX_M = {1: 8, 2: 8, 3: 7, 4: 6, 5: 6, 6: 6}
 
 
 def _instances(count, seed):
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 6)
         yield rng, random_matroid_instance(rng, n=n, m=rng.randint(0, MAX_M[n]))
 
 
@@ -64,6 +65,22 @@ def test_shares_and_pareto_verdicts_match_the_scan(monkeypatch):
                 seen["dominated" if witness else "undominated random"] += 1
     assert seen["dominated"] >= 300 and seen["undominated random"] >= 100, seen
     assert min(seen.values()) >= 30, seen
+
+
+def test_each_verdict_and_share_runs_one_intersection(monkeypatch):
+    runs = []
+    monkeypatch.setattr(fairness, "max_common_independent_set",
+                        lambda inst: runs.append(inst) or max_common_independent_set(inst))
+    for rng, inst in _instances(60, 5151):
+        for allocation in (random_allocation(rng, inst), max_common_independent_set(inst)):
+            runs.clear()
+            check_po_bruteforce(inst, allocation)
+            assert runs == [inst]
+        for agent in inst.agents:
+            runs.clear()
+            mms_share(inst, agent)
+            assert len(runs) == 1
+            assert all(runs[0].valuation(a) is inst.valuation(agent) for a in inst.agents)
 
 
 def test_share_may_exceed_the_full_value_over_n():

@@ -8,19 +8,42 @@ import sys
 import types
 
 import rankfair
+from rankfair.documents import dump_path, serialize_instance
+
+import fixtures
+
+
+def _src():
+    return os.path.dirname(os.path.dirname(os.path.abspath(rankfair.__file__)))
 
 
 def test_every_module_is_reached_from_the_package_and_cli():
     # a fresh interpreter, so modules imported by other tests do not count
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rankfair.__file__)))
     run = subprocess.run(
         [sys.executable, "-c",
          "import sys, rankfair, rankfair.cli; "
          "print(' '.join(sorted(m for m in sys.modules if m.startswith('rankfair.'))))"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+        env=dict(os.environ, PYTHONPATH=_src()), capture_output=True, text=True, check=True)
     loaded = set(run.stdout.split())
     shipped = {"rankfair." + info.name for info in pkgutil.iter_modules(rankfair.__path__)}
     assert shipped - {"rankfair.__main__"} <= loaded
+
+
+def test_the_module_entry_point_runs_the_cli(tmp_path):
+    """``python -m rankfair`` reaches ``cli.console_main`` and exits with main's code."""
+    doc = str(tmp_path / "instance.json")
+    dump_path(serialize_instance(fixtures.two_group_matching_instance()), doc)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rankfair", *argv],
+                              env=dict(os.environ, PYTHONPATH=_src()),
+                              capture_output=True, text=True)
+
+    usage = run()
+    assert usage.returncode == 1 and usage.stderr.startswith("error: ")
+    solved = run("solve", "--algorithm", "usw-ef1", "--input", doc, "--format", "machine")
+    assert solved.returncode == 0 and solved.stderr == ""
+    assert solved.stdout.startswith("{")
 
 
 def test_every_exported_name_is_bound():
