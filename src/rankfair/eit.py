@@ -12,8 +12,8 @@ the repairs around it, is made and logged by ``TransferLog.move``:
 * ``eit_general`` is the heuristic for weighted assignment valuations;
   it repairs each move by backfilling the donor and cascading the items
   that witness matchings leave unused.  It has no termination guarantee,
-  so it runs under a step budget and reports exhaustion explicitly
-  instead of looping forever.
+  so it runs under a step budget, stops once a round start repeats, and
+  reports exhaustion explicitly instead of looping forever.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import (
     marginal_gain,
     values_vector,
 )
-from .matching import max_weight_matching
 from .matroid_intersection import max_common_independent_set, shortest_path
 from .oracle import sum_squares
 from .valuations import AssignmentValuation
@@ -159,7 +158,7 @@ class EitGeneralResult:
     allocation: Allocation
     log: TransferLog
     steps: int
-    exhausted: bool  # True when the step budget ran out before EF1 held
+    exhausted: bool  # True when the budget ran out or the rounds cycled before EF1 held
     optimum: object  # maximum utilitarian welfare, the start's welfare
 
 
@@ -175,14 +174,15 @@ def _require_assignment(instance: Instance, what: str):
 def _global_optimum_matching(instance: Instance):
     """Max-weight matching of all items to (agent, member) pairs.
 
-    Its total weight, summed exactly from the matched weights, is the
-    maximum utilitarian welfare for assignment valuations, since the
-    per-bundle matchings are independent.
+    One AssignmentValuation over those pairs grows it, as it grows every
+    bundle's witness: from empty over the sorted items, each by its best
+    alternating path.  Its total weight, summed exactly from the matched
+    weights, is the maximum utilitarian welfare for assignment valuations,
+    since the per-bundle matchings are independent.
     """
     rows = {(a, mb): instance.valuation(a).weights[mb]
             for a in instance.agents for mb in instance.valuation(a).members}
-    _, edges = AssignmentValuation(rows, rows)._edges
-    _, witness = max_weight_matching(instance.items, rows, edges)
+    _, witness = AssignmentValuation(rows, rows).assignment_value(instance.items)
     return sum(rows[node][item] for item, node in witness.items()), witness
 
 
@@ -228,7 +228,9 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
     lowest index, so no unused item survives a round.
 
     Termination is not guaranteed; after ``budget`` rounds (default
-    10*m^2) the current allocation is returned with ``exhausted=True``.
+    10*m^2), or as soon as a round starts from an allocation an earlier
+    round started from (the rounds then cycle for ever), the current
+    allocation is returned with ``exhausted=True``.
     The result carries the maximum utilitarian welfare, read off the global
     matching of the start, so a price of fairness needs no second one.
     """
@@ -273,10 +275,13 @@ def eit_general(instance: Instance, budget: int | None = None) -> EitGeneralResu
                     if gain_i > 0:
                         yield gain_i + theirs_value - vj.value(theirs - {o}), (i, j, o)
 
+    starts = set()  # round-start allocations: a round's move depends on nothing else
     while True:
+        start = (allocation.withheld, *map(allocation.bundle, agents))
         best = max(envious_moves(), key=lambda move: move[0], default=None)
-        if best is None or steps >= budget:
+        if best is None or steps >= budget or start in starts:
             return EitGeneralResult(allocation, log, steps, best is not None, optimum)
+        starts.add(start)
         steps += 1
         _, (i, j, o) = best
         allocation = log.move(instance, allocation, o, j, i)

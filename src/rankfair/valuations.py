@@ -4,11 +4,12 @@ All families expose value(bundle) with exact results.  The assignment
 families additionally expose assignment_value(bundle), returning the value
 together with a deterministic witness matching of bundle items to members;
 the witness never pairs an item with a member that weights it zero.
-Weighted assignment valuations match with ``matching.max_weight_matching``;
-(0,1)-OXS valuations (BinaryAssignmentValuation) match with their own
-depth-first augmenting-path search, grown from the empty matching over the
-sorted bundle.  Every matching reads the valuation's one integer weight
-index, ``_edges``, and divides its total back by the index's scale.
+Both grow it from the empty matching over the sorted bundle, one item at a
+time: weighted assignment valuations by the best alternating path from
+each item (``_augment``), (0,1)-OXS valuations (BinaryAssignmentValuation)
+by a depth-first augmenting-path search (``_match``).  Every matching reads
+the valuation's one integer weight index, ``_edges``, and divides its total
+back by the index's scale.
 
 The families whose matroid is explicit (binary additive, transversal and
 truncations of either) also expose exchange(bundle, items): for a clean
@@ -54,7 +55,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .core import BudgetExceeded
-from .matching import max_weight_matching
 
 EXHAUSTIVE_LIMIT = 14
 # The most members for which a (0,1)-OXS valuation reads its table off its
@@ -165,13 +165,16 @@ class AssignmentValuation:
         return f"{type(self).__name__}(members={self.members!r})"
 
     def assignment_value(self, bundle) -> tuple:
-        """(value, witness) where witness maps items to distinct members."""
+        """(value, witness) where witness maps items to distinct members: a
+        maximum-weight matching grown from empty over the sorted bundle, each
+        item by the best alternating path from it (``_augment``)."""
         bundle = frozenset(bundle)
         hit = self._cache.get(bundle)
         if hit is None:
-            scale, edges = self._edges
-            total, witness = max_weight_matching(sorted(bundle), self.members, edges)
-            hit = (_unscaled(total, scale), witness)
+            total, witness = 0, {}
+            for item in sorted(bundle):
+                total, witness = self._augment(total, witness, item)
+            hit = (_unscaled(total, self._edges[0]), witness)
             self._cache[bundle] = hit
         return hit
 
@@ -201,7 +204,7 @@ class AssignmentValuation:
         alternating path that starts at o: o to a member, that member's item
         in M back off it, on to another member, and so on, ending at a free
         member or by dropping an item.  Every other component of M xor M'
-        has zero gain, since M and M' are each optimal.  M is the kernel's
+        has zero gain, since M and M' are each optimal.  M is bundle's
         cached witness or a matching this method grew; the grown matching
         of bundle + item goes into the value-only store.
         """

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from rankfair.cli import main
 from rankfair.core import Allocation, Instance
 from rankfair.documents import (MAX_NESTING, DocumentError, dumps, loads, parse_allocation,
                                 parse_instance, serialize_allocation,
-                                serialize_instance)
+                                serialize_instance, valuation_to_descriptor)
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
                                  BinaryAdditiveValuation,
                                  BinaryAssignmentValuation, ScaledValuation,
@@ -158,3 +159,66 @@ def test_serialized_allocation_is_sorted_and_stable():
     assert doc["bundles"]["g1"] == ["o1", "o5"]
     assert doc["withheld"] == ["o2", "o3", "o6"]
     assert dumps(doc) == dumps(serialize_allocation(alloc, inst))
+
+
+def _document(**fields):
+    document = {"schema": 1, "items": ["a", "b"],
+                "agents": [{"id": "p", "valuation": {"type": "binary_additive",
+                                                     "approved": ["a"]}}]}
+    document.update(fields)
+    return document
+
+
+def _valued(descriptor):
+    return _document(agents=[{"id": "p", "valuation": descriptor}])
+
+
+_UNIT = {"type": "binary_additive", "approved": []}
+
+# (instance document, the one line `validate` prints to stderr)
+_BAD_INSTANCES = [
+    (_valued({"type": "assignment", "members": [{"id": "m", "weights": {"a": [1]}}]}),
+     "error: agent 'p' weight a has unsupported number type 'list'"),
+    (_valued({"type": "assignment", "members": [{"id": "m", "weights": ["a"]}]}),
+     "error: agent 'p' weights must be an object"),
+    (_valued({"type": "truncated", "cap": "1", "inner": _UNIT}),
+     "error: agent 'p' cap must be an integer"),
+    ([], "error: instance document must be a JSON object"),
+    (_document(items=["a", 1]), "error: items must be a list of string identifiers"),
+    (_document(agents=[]), "error: agents must be a non-empty list"),
+    (_document(agents=[{"id": "p"}]),
+     "error: each agent needs an id and a valuation descriptor"),
+    (_document(items=["a", "a"]), "error: duplicate item identifiers"),
+    (_document(agents=[{"id": "p", "valuation": _UNIT}] * 2),
+     "error: duplicate agent identifiers"),
+]
+
+
+@pytest.mark.parametrize("document,message", _BAD_INSTANCES)
+def test_malformed_instance_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                        document, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(document))
+    assert main(["validate", "--input", "in.json"]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("allocation,message", [
+    ([], "error: allocation document must be a JSON object"),
+    ({"schema": 1, "bundles": []}, "error: bundles must map agent ids to item lists"),
+    ({"schema": 1, "bundles": {"q": []}}, "error: unknown agents in allocation: q"),
+])
+def test_malformed_allocation_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                          allocation, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(_document()))
+    (tmp_path / "alloc.json").write_text(json.dumps(allocation))
+    assert main(["check", "--input", "in.json", "--allocation", "alloc.json",
+                 "--properties", "ef1"]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_a_valuation_without_a_document_form_is_refused():
+    """No input document builds one, so only a library caller reaches this."""
+    with pytest.raises(DocumentError, match="valuation type 'object' has no document form"):
+        valuation_to_descriptor(object())

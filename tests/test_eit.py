@@ -188,16 +188,17 @@ def test_envy_graph_baseline_rotation_is_pinned(family, seed, kwargs, expected):
 
 
 def test_envy_graph_baseline_matches_only_empty_bundles(monkeypatch):
-    """Bundle-plus-one values come off each valuation's matchings: the kernel
+    """Bundle-plus-one values come off each valuation's matchings: a matching
     runs once per agent, on the empty bundle, and never on a probe."""
     runs = []
-    kernel = valuations.max_weight_matching
+    assignment_value = valuations.AssignmentValuation.assignment_value
 
-    def counting(items, members, edges):
-        runs.append((tuple(members), frozenset(items)))
-        return kernel(items, members, edges)
+    def counting(self, bundle):  # a matching runs on a cache miss
+        if frozenset(bundle) not in self._cache:
+            runs.append((self.members, frozenset(bundle)))
+        return assignment_value(self, bundle)
 
-    monkeypatch.setattr(valuations, "max_weight_matching", counting)
+    monkeypatch.setattr(valuations.AssignmentValuation, "assignment_value", counting)
     weighted = [case for case in _ROTATING
                 if case[0] == "random_weighted_assignment_instance"]
     weighted.append(("random_weighted_assignment_instance", 7, {"n": 5, "m": 14}, None))
@@ -232,7 +233,8 @@ def test_pinned_baseline_draws_rotate_cycles(monkeypatch):
 # (randgen family, seed, arguments, first 16 hex digits of the SHA-256 of
 # `solve --algorithm eit-general --format machine`'s exit code and stdout,
 # and of its transfer log).  Together the draws reach every kind of step;
-# seed 125 at 4 x 8 backfills the first of two withheld items of equal gain.
+# seed 125 at 4 x 8 backfills the first of two withheld items of equal gain,
+# and seeds 1261 and 2639 stop, exhausted, at a repeated round start.
 _EIT_GENERAL = [
     ("random_weighted_assignment_instance", 6, {}, "91aa210174b6fc6b", "c823c116e4a719b2"),
     ("random_weighted_assignment_instance", 52, {}, "4ec9a6bd157356bf", "705ca8c719072eb1"),
@@ -241,10 +243,20 @@ _EIT_GENERAL = [
     ("random_weighted_assignment_instance", 125, {"n": 4, "m": 8}, "a2c69c4e03295461", "f870afba5fe56387"),
     ("random_weighted_assignment_instance", 63, {"n": 4, "m": 8}, "125e9abc84f76c92", "b6493239e531a456"),
     ("random_weighted_assignment_instance", 8, {"n": 5, "m": 10}, "b8092d7a5aa00262", "7092bb19f21973bf"),
-    ("random_weighted_assignment_instance", 1261, {"n": 4, "m": 6}, "0ff964f7617c99a8", "0138fd5fd8d347d1"),
-    ("random_weighted_assignment_instance", 2639, {"n": 3, "m": 6}, "9e3f0982e7da062c", "0de68f12262f27b5"),
+    ("random_weighted_assignment_instance", 1261, {"n": 4, "m": 6}, "431cfbd8cafbdb3d", "ce0484056f6f57c7"),
+    ("random_weighted_assignment_instance", 2639, {"n": 3, "m": 6}, "44e1e13258f6dbb8", "488df50f9cb59652"),
     ("random_oxs_instance", 38, {}, "eaab7c4ba6fa6afe", "0e59153f621ff48d"),
 ]
+
+
+def test_eit_general_stops_at_a_repeated_round_start():
+    """The pinned draws 1261 and 2639 reach a round-start allocation again;
+    the rounds would cycle from there, so the run stops, exhausted, long
+    before its default budget of 10 m^2 rounds."""
+    for seed, kwargs in ((1261, {"n": 4, "m": 6}), (2639, {"n": 3, "m": 6})):
+        inst = _rotating_instance("random_weighted_assignment_instance", seed, kwargs)
+        result = eit_general(inst)
+        assert result.exhausted and 0 < result.steps < 10 * inst.m ** 2
 
 
 def _eit_general_cli(tmp_path, monkeypatch, capsys, family, seed, kwargs):

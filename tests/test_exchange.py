@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rankfair import matroid_intersection, valuations
+from rankfair import matroid_intersection
 from rankfair.core import Instance, NonMatroidOracle
 from rankfair.matroid_intersection import max_common_independent_set
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
@@ -187,16 +187,18 @@ def inside_union_side(monkeypatch):
             counts["depth"] -= 1
 
     monkeypatch.setattr(matroid_intersection, "_union_side", tracked_union_side)
-    assignment_value = BinaryAssignmentValuation.assignment_value
 
-    def from_scratch(self, bundle):  # a (0,1) matching runs on a cache miss
-        if counts["depth"] and frozenset(bundle) not in self._cache:
-            counts["cardinality"] += 1
-        return assignment_value(self, bundle)
+    def from_scratch(cls, name):  # a matching runs on a cache miss
+        assignment_value = cls.assignment_value
 
-    monkeypatch.setattr(BinaryAssignmentValuation, "assignment_value", from_scratch)
-    monkeypatch.setattr(valuations, "max_weight_matching",
-                        counted("weight", valuations.max_weight_matching))
+        def counted_miss(self, bundle):
+            if counts["depth"] and frozenset(bundle) not in self._cache:
+                counts[name] += 1
+            return assignment_value(self, bundle)
+        monkeypatch.setattr(cls, "assignment_value", counted_miss)
+
+    from_scratch(BinaryAssignmentValuation, "cardinality")
+    from_scratch(AssignmentValuation, "weight")
     monkeypatch.setattr(AllOrNothingValuation, "value",
                         counted("all_or_nothing", AllOrNothingValuation.value))
     return counts

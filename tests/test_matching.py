@@ -5,8 +5,7 @@ from math import lcm
 
 from rankfair.core import Instance
 from rankfair.eit import max_utilitarian_welfare
-from rankfair.matching import max_weight_matching
-from rankfair.valuations import AssignmentValuation, BinaryAssignmentValuation
+from rankfair.valuations import AssignmentValuation, BinaryAssignmentValuation, _norm
 
 
 def brute_force_matching_value(items, members, weight):
@@ -35,17 +34,20 @@ def brute_force_matching_value(items, members, weight):
     return best[0]
 
 
-def _integer_edges(items, members, weight) -> tuple:
-    """(scale, item -> {member: weight * scale}) of a weight table, as
-    ``AssignmentValuation._edges`` builds it: members in order, non-positive
-    weights dropped, scale the LCM of the kept weights' denominators."""
-    kept = {(it, mb): Fraction(w) for it in items for mb in members
-            if (w := weight(mb, it)) > 0}
-    scale = lcm(*(w.denominator for w in kept.values()))
-    edges = {}
-    for (it, mb), w in kept.items():
-        edges.setdefault(it, {})[mb] = int(w * scale)
-    return scale, edges
+def _valuation(items, members, weight):
+    """The AssignmentValuation of a weight table over ``items``, negative
+    weights clamped to 0, since the constructor refuses them."""
+    return AssignmentValuation(members, {mb: {it: max(weight(mb, it), 0) for it in items}
+                                         for mb in members})
+
+
+def _assert_valid_witness(valuation, bundle, value, witness):
+    """Distinct members, positive weights, bundle items only, and a weight
+    sum equal to the value."""
+    assert set(witness) <= set(bundle)
+    assert len(set(witness.values())) == len(witness)
+    assert all(valuation.weights[mb].get(it, 0) > 0 for it, mb in witness.items())
+    assert sum(valuation.weights[mb][it] for it, mb in witness.items()) == value
 
 
 def _reference_max_cardinality_matching(items, members, adjacent) -> dict:
@@ -136,19 +138,16 @@ def test_cardinality_matches_the_reference_kernel():
 
 
 def test_weight_prefers_heavy_assignment():
-    weights = {("m1", "a"): 5, ("m1", "b"): 4, ("m2", "a"): 3}
-    _, edges = _integer_edges(["a", "b"], ["m1", "m2"],
-                             lambda mb, it: weights.get((mb, it), 0))
-    total, witness = max_weight_matching(["a", "b"], ["m1", "m2"], edges)
+    v = AssignmentValuation(["m1", "m2"], {"m1": {"a": 5, "b": 4}, "m2": {"a": 3}})
+    total, witness = v.assignment_value({"a", "b"})
     assert total == 7
     assert witness == {"a": "m2", "b": "m1"}
 
 
 def test_weight_zero_edges_never_matched():
-    scale, edges = _integer_edges(["a", "b"], ["m1", "m2"], lambda mb, it: 0)
-    assert (scale, edges) == (1, {})
-    total, witness = max_weight_matching(["a", "b"], ["m1", "m2"], edges)
-    assert total == 0 and witness == {}
+    v = _valuation(["a", "b"], ["m1", "m2"], lambda mb, it: 0)
+    assert v._edges == (1, {})
+    assert v.assignment_value({"a", "b"}) == (0, {})
 
 
 def test_weight_matches_brute_force_fuzz():
@@ -162,28 +161,34 @@ def test_weight_matches_brute_force_fuzz():
         def weight(mb, it):
             return table.get((mb, it), 0)
 
-        scale, edges = _integer_edges(items, members, weight)
-        total, witness = max_weight_matching(items, members, edges)
-        assert type(total) is int
-        assert Fraction(total, scale) == brute_force_matching_value(items, members, weight)
-        assert sum(weight(mb, it) for it, mb in witness.items()) == Fraction(total, scale)
-        assert len(set(witness.values())) == len(witness)
-        assert all(weight(mb, it) > 0 for it, mb in witness.items())
+        v = _valuation(items, members, weight)
+        total, witness = v.assignment_value(items)
+        want = brute_force_matching_value(items, members, weight)
+        assert total == want and type(total) is type(_norm(want))
+        _assert_valid_witness(v, items, total, witness)
 
 
 def test_weight_witness_deterministic():
+    """A witness is a function of its bundle: value_with calls made before
+    it, in any order, leave it as a fresh copy grows it."""
     rng = random.Random(8)
     items = ["o%d" % k for k in range(5)]
     members = ["m%d" % k for k in range(4)]
     table = {(mb, it): rng.randint(0, 3) for mb in members for it in items}
-    _, edges = _integer_edges(items, members, lambda mb, it: table[(mb, it)])
-    first = max_weight_matching(items, members, edges)
+    first = _valuation(items, members, lambda mb, it: table[(mb, it)]).assignment_value(items)
     for _ in range(3):
-        assert max_weight_matching(items, members, edges) == first
+        v = _valuation(items, members, lambda mb, it: table[(mb, it)])
+        bundle = frozenset()
+        for o in rng.sample(items, len(items)):
+            v.value_with(bundle, o)
+            bundle |= {o}
+        got = v.assignment_value(items)
+        assert got == first and list(got[1].items()) == list(first[1].items())
 
 
 def _reference_max_weight_matching(items, members, weight):
-    """The former kernel, on the weights as given: the integer kernel's reference.
+    """The former weighted kernel, on the weights as given: the reference for
+    assignment_value's values (its witnesses may break ties otherwise).
 
     Same relaxation order, strict-improvement rule, best-free-member choice
     and path reconstruction, with gains and parents in dicts keyed by
@@ -279,7 +284,10 @@ def _weight_family(rng, family):
     return lambda: Fraction(rng.randint(0, 40_000), rng.choice(_PRIMES))
 
 
-def test_integer_kernel_matches_the_reference_kernel():
+def test_assignment_value_matches_the_reference_kernel():
+    """Values (and their types) equal the former kernel's on every weight
+    family; each witness is valid and equals a fresh copy's, whatever
+    value_with calls came before it."""
     rng = random.Random(271828)
     families = ("zero", "int", "ties", "fraction", "whole fraction", "mixed", "large lcm")
     seen = Counter()
@@ -295,17 +303,27 @@ def test_integer_kernel_matches_the_reference_kernel():
         def weight(mb, it):
             return table.get((mb, it), 0)
 
-        scale, edges = _integer_edges(items, members, weight)
-        got = max_weight_matching(items, members, edges)
-        want = _reference_max_weight_matching(items, members, weight)
-        assert type(got[0]) is int and Fraction(got[0], scale) == want[0]
-        assert list(got[1].items()) == list(want[1].items())
+        v = _valuation(items, members, weight)
+        bundles = [frozenset(), frozenset(rng.sample(items, rng.randint(0, len(items)))),
+                   frozenset(items)]
+        if items and rng.random() < 0.5:  # a value_with history before any witness
+            seen["value_with history"] += 1
+            for _ in range(4):
+                v.value_with(rng.choice(bundles), rng.choice(items))
+        for bundle in bundles:
+            got = v.assignment_value(bundle)
+            total, _ = _reference_max_weight_matching(sorted(bundle), members, weight)
+            want = _norm(total)
+            assert got[0] == want and type(got[0]) is type(want), (table, bundle)
+            _assert_valid_witness(v, bundle, *got)
+            fresh = _valuation(items, members, weight).assignment_value(bundle)
+            assert list(got[1].items()) == list(fresh[1].items())
         positive = [w for w in table.values() if w > 0]
         if not items or not members:
             seen["empty side"] += 1
         elif not positive:
             seen["no positive weight"] += 1
-        seen[type(want[0]).__name__] += 1
+        seen[type(want).__name__] += 1
         if any(w < 0 for w in table.values()):
             seen["negative weight"] += 1
         if lcm(*(Fraction(w).denominator for w in positive)) > 10 ** 6:
@@ -313,7 +331,7 @@ def test_integer_kernel_matches_the_reference_kernel():
         if len(got[1]) >= 3:
             seen["three or more matched"] += 1
     assert min(seen.values()) >= 100, seen
-    assert len(seen) == 7, seen
+    assert len(seen) == 8, seen
 
 
 def test_total_type_follows_the_matched_weights():

@@ -125,20 +125,18 @@ def test_value_with_matches_the_kernel(monkeypatch):
     """Chains from a start bundle to the whole ground set, probing every item
     at every step, run a matching on the start bundle alone."""
     kernel_runs = []
-    kernel = valuations.max_weight_matching
-    assignment_value = BinaryAssignmentValuation.assignment_value
 
-    def weighted(items, *args):
-        kernel_runs.append(frozenset(items))
-        return kernel(items, *args)
+    def counting(cls):  # a matching runs on a cache miss
+        assignment_value = cls.assignment_value
 
-    def unweighted(self, bundle):  # a (0,1) matching runs on a cache miss
-        if frozenset(bundle) not in self._cache:
-            kernel_runs.append(frozenset(bundle))
-        return assignment_value(self, bundle)
+        def counted(self, bundle):
+            if frozenset(bundle) not in self._cache:
+                kernel_runs.append(frozenset(bundle))
+            return assignment_value(self, bundle)
+        monkeypatch.setattr(cls, "assignment_value", counted)
 
-    monkeypatch.setattr(valuations, "max_weight_matching", weighted)
-    monkeypatch.setattr(BinaryAssignmentValuation, "assignment_value", unweighted)
+    counting(AssignmentValuation)
+    counting(BinaryAssignmentValuation)
     rng = random.Random(4242)
     cases = 0
     for _ in range(300):
@@ -147,7 +145,7 @@ def test_value_with_matches_the_kernel(monkeypatch):
         bundle = start = frozenset(order[:rng.randint(0, len(items) - 1)])
         cached = rng.random() < 0.5
         if cached:
-            v.value(start)  # start from the kernel's cached witness
+            v.value(start)  # start from the cached witness
         kernel_runs.clear()
         for grow in order:
             for o in items:
@@ -158,8 +156,10 @@ def test_value_with_matches_the_kernel(monkeypatch):
             bundle |= {grow}
         assert kernel_runs == ([] if cached else [start])
         if type(v) is AssignmentValuation:
-            # a bundle first reached through value_with gets the kernel's witness
-            assert v.assignment_value(bundle) == _reference_matching(v, bundle)
+            # a bundle first reached through value_with gets a fresh copy's witness
+            got = v.assignment_value(bundle)
+            assert got[0] == _reference_matching(v, bundle)[0]
+            assert got == AssignmentValuation(v.members, v.weights).assignment_value(bundle)
     assert cases >= 2000
 
 
