@@ -10,9 +10,15 @@ cost; the convexity lives in the augmentation rule.  Every augmenting path
 costs the 2f+1 of the group it leaves the source through, so successive
 shortest paths augments from the least-loaded group that still reaches the
 sink, along the lexicographically least node-index path, which a depth-first
-search in ascending node order finds first.  The flow is solved on residual
-arrays built straight from the instance; the bundles and the dump are read
-off them, and the dump's cost column is a constant 0 kept for its format.
+search in ascending node order finds first.
+
+Every arc below the source has capacity 1, so the flow is a matching, kept
+as mate arrays: member u carries item held[u], item k is carried by member
+holder[k] (-1: none).  In ascending node order, a group's residual
+successors are then its idle members; a carrying member's are its own group,
+then its items; an item's is the sink when free, else its holder.  The
+bundles and the dump are read off the mate arrays; the dump's cost column is
+a constant 0 kept for its format.
 """
 
 from __future__ import annotations
@@ -25,16 +31,17 @@ from .valuations import AssignmentValuation
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """A solved network as residual arrays; ``labels`` name the nodes.
+    """A solved network as its mate arrays over ``items`` and ``members``,
+    the (agent, member, ascending item indices) rows in member-node order.
 
-    Nodes are numbered source, groups, members, items, sink.  Arc 2k is the
-    k-th arc below the source and 2k+1 its reverse, so cap[2k+1] is its flow.
-    Each source arc has capacity ``source_capacity`` and carries its load.
+    Each source arc has capacity ``source_capacity`` and carries its group's
+    load; every other arc has capacity 1.
     """
 
-    labels: tuple
-    head: tuple
-    cap: tuple
+    items: tuple
+    members: tuple
+    held: tuple
+    holder: tuple
     loads: dict  # agent -> flow on its source arc
     source_capacity: int
 
@@ -44,13 +51,18 @@ class FlowNetwork:
 
 
 def network_dump(network: FlowNetwork) -> str:
-    """Tab-separated arc list: tail, head, capacity, cost, flow."""
-    labels, head, cap = network.labels, network.head, network.cap
+    """Tab-separated arc list: tail, head, capacity, cost, flow; source,
+    group-member, member-item, then item-sink arcs, each in node order."""
+    items, members, held = network.items, network.members, network.held
     lines = ["tail\thead\tcapacity\tcost\tflow"]
-    lines += [f"s\t{labels[g]}\t{network.source_capacity}\t0\t{load}"
-              for g, load in enumerate(network.loads.values(), 1)]
-    lines += [f"{labels[head[a + 1]]}\t{labels[head[a]]}\t{cap[a] + cap[a + 1]}\t0\t{cap[a + 1]}"
-              for a in range(0, len(head), 2)]
+    lines += [f"s\tg/{a}\t{network.source_capacity}\t0\t{load}"
+              for a, load in network.loads.items()]
+    lines += [f"g/{a}\tm/{a}/{mb}\t1\t0\t{int(k >= 0)}"
+              for (a, mb, _), k in zip(members, held)]
+    lines += [f"m/{a}/{mb}\to/{items[k]}\t1\t0\t{int(k == c)}"
+              for (a, mb, row), c in zip(members, held) for k in row]
+    lines += [f"o/{item}\tt\t1\t0\t{int(u >= 0)}"
+              for item, u in zip(items, network.holder)]
     return "\n".join(lines) + "\n"
 
 
@@ -81,28 +93,46 @@ def _members(instance: Instance) -> list:
     return members
 
 
-def _path_to_sink(start, sink, adj, head, cap, seen):
-    """Residual arcs of the first start-sink path a depth-first search finds.
+def _path_to_free_item(start, group_of, group_members, rows, held, holder, seen):
+    """(path, free item) of the first start-sink path a depth-first search finds.
 
-    Successors are tried in ascending node index and ``seen`` is shared with
-    the caller, so the path is the lexicographically least one that avoids
-    every node already ruled out.  None when the sink is out of reach.
+    The path lists groups (as ~g) and members; a member after a member was
+    reached through the item it carries.  Successors come in the residual
+    order of the module docstring and ``seen`` (group, member and item
+    flags) is shared with the caller, so the path is the lexicographically
+    least one that avoids every node already ruled out.  None when the sink
+    is out of reach.
     """
-    stack, arcs = [iter(adj[start])], []
+    seen_group, seen_member, seen_item = seen
+    path, stack = [~start], [iter(group_members[start])]
     while stack:
-        for a in stack[-1]:
-            v = head[a]
-            if cap[a] > 0 and not seen[v]:
-                seen[v] = True
-                arcs.append(a)
-                if v == sink:
-                    return arcs
-                stack.append(iter(adj[v]))
-                break
+        node = path[-1]
+        for x in stack[-1]:
+            if node < 0:  # a group on to its member x, if idle
+                if held[x] >= 0 or seen_member[x]:
+                    continue
+            else:  # a member on to item x: the sink if x is free, else its holder
+                if seen_item[x]:
+                    continue
+                seen_item[x] = True
+                if holder[x] < 0:
+                    return path, x
+                x = holder[x]
+                if seen_member[x]:
+                    continue
+            seen_member[x] = True
+            path.append(x)
+            stack.append(iter(rows[x]))
+            g = group_of[x]
+            if held[x] >= 0 and not seen_group[g]:
+                # a carrying member's first successor: back to its group
+                seen_group[g] = True
+                path.append(~g)
+                stack.append(iter(group_members[g]))
+            break
         else:
             stack.pop()
-            if arcs:
-                arcs.pop()
+            path.pop()
     return None
 
 
@@ -118,52 +148,37 @@ def leximin_flow_allocation(instance: Instance) -> tuple:
     """
     members = _members(instance)
     n, items = instance.n, instance.items
-    first_item = 1 + n + len(members)
-    sink = first_item + len(items)
-    labels = (["s"] + [f"g/{a}" for a in instance.agents]
-              + [f"m/{a}/{mb}" for a, mb, _ in members]
-              + [f"o/{item}" for item in items] + ["t"])
-    head, cap = [], []
-    # Arcs are added tail layer by tail layer, heads ascending within a
-    # tail, so every adjacency list comes out ascending in head node.
-    adj = [[] for _ in labels]
+    groups = {a: g for g, a in enumerate(instance.agents)}
+    group_of = [groups[a] for a, _, _ in members]
+    rows = [row for _, _, row in members]
+    held, holder = [-1] * len(members), [-1] * len(items)
+    group_members = [[u for u, h in enumerate(group_of) if h == g] for g in range(n)]
 
-    def add_arc(u, v):
-        adj[u].append(len(head))
-        adj[v].append(len(head) + 1)
-        head.extend((v, u))
-        cap.extend((1, 0))
-
-    groups = {a: g for g, a in enumerate(instance.agents, 1)}
-    for u, (a, _, _) in enumerate(members, n + 1):
-        add_arc(groups[a], u)
-    for u, (_, _, row) in enumerate(members, n + 1):
-        for k in row:
-            add_arc(u, first_item + k)
-    item_arcs_end = len(head)
-    for v in range(first_item, sink):
-        add_arc(v, sink)
-
-    load = [0] * (n + 1)  # by group node
+    load = [0] * n
     while True:
-        seen = [False] * len(labels)
-        for g in sorted(groups.values(), key=lambda g: (load[g], g)):
-            if not seen[g]:
-                seen[g] = True
-                arcs = _path_to_sink(g, sink, adj, head, cap, seen)
-                if arcs is not None:
+        seen = ([False] * n, [False] * len(members), [False] * len(items))
+        for g in sorted(range(n), key=load.__getitem__):  # stable: ties by index
+            if not seen[0][g]:
+                seen[0][g] = True
+                found = _path_to_free_item(g, group_of, group_members, rows, held, holder, seen)
+                if found is not None:
                     break
         else:
             break
         load[g] += 1
-        for a in arcs:
-            cap[a] -= 1
-            cap[a ^ 1] += 1
+        path, item = found
+        for x in reversed(path):
+            if x < 0:  # the member before a group goes idle
+                item = -1
+            else:  # a member takes the item its successor carried
+                held[x], item = item, held[x]
+                if held[x] >= 0:
+                    holder[held[x]] = x
 
     bundles = {a: [] for a in instance.agents}
-    for a in range(2 * len(members), item_arcs_end, 2):
-        if cap[a + 1]:
-            bundles[members[head[a + 1] - n - 1][0]].append(items[head[a] - first_item])
+    for (a, _, _), k in zip(members, held):
+        if k >= 0:
+            bundles[a].append(items[k])
     allocation = Allocation.from_bundles(instance, bundles)
     loads = {a: load[g] for a, g in groups.items()}
     for agent in instance.agents:
@@ -173,5 +188,6 @@ def leximin_flow_allocation(instance: Instance) -> tuple:
                 f"source out-flow {loads[agent]} of group {agent!r} "
                 f"differs from its realized value {realized}"
             )
-    return allocation, FlowNetwork(labels=tuple(labels), head=tuple(head), cap=tuple(cap),
+    return allocation, FlowNetwork(items=tuple(items), members=tuple(members),
+                                   held=tuple(held), holder=tuple(holder),
                                    loads=loads, source_capacity=instance.m)

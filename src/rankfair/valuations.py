@@ -227,16 +227,23 @@ class AssignmentValuation:
     def _augment(self, total, mates, item):
         """(scaled total, matching) after the best alternating path from the
         unmatched ``item``: one longest-path search, since M admits no
-        gainful alternating cycle.  The inputs when no path gains."""
+        gainful alternating cycle.  The inputs when no path gains.  Gains
+        only rise, so an item queued again at the gain it was last expanded
+        with relaxes nothing and is skipped."""
         _, edges = self._edges
         holder = {member: x for x, member in mates.items()}
         gain = {item: 0}  # item -> best gain of a path that frees it
+        expanded = {}  # item -> the gain it was last expanded with
         reach, came = {}, {}  # member -> best gain of a path to it, its item
         queue = [item]
         for x in queue:
+            gx, mate = gain[x], mates.get(x)
+            if expanded.get(x) == gx:
+                continue
+            expanded[x] = gx
             for member, w in edges.get(x, {}).items():
-                g = gain[x] + w
-                if member == mates.get(x) or (member in reach and reach[member] >= g):
+                g = gx + w
+                if member == mate or (member in reach and reach[member] >= g):
                     continue
                 reach[member], came[member] = g, x
                 if member in holder:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rankfair.balanced_flow import leximin_flow_allocation, network_dump
+from rankfair.balanced_flow import _members, leximin_flow_allocation, network_dump
 from rankfair.core import InapplicableAlgorithm, Instance, validate_allocation, values_vector
 from rankfair.eit import max_utilitarian_welfare
 from rankfair.oracle import oracle_optimal
@@ -239,3 +239,129 @@ def test_flow_witness_is_pinned():
                        for a in inst.agents)
         assert got == bundles
         assert hashlib.sha256(network_dump(network).encode()).hexdigest()[:16] == dump_sha
+
+
+def _reference_path_to_sink(start, sink, adj, head, cap, seen):
+    """Residual arcs of the first start-sink path, successors in ascending node index."""
+    stack, arcs = [iter(adj[start])], []
+    while stack:
+        for a in stack[-1]:
+            v = head[a]
+            if cap[a] > 0 and not seen[v]:
+                seen[v] = True
+                arcs.append(a)
+                if v == sink:
+                    return arcs
+                stack.append(iter(adj[v]))
+                break
+        else:
+            stack.pop()
+            if arcs:
+                arcs.pop()
+    return None
+
+
+def _reference_leximin_flow(instance):
+    """(bundles, loads, dump) from a generic residual network: arc 2k and its
+    reverse 2k+1 in flat head/cap arrays, adjacency lists ascending in head."""
+    members = _members(instance)
+    n, items = instance.n, instance.items
+    first_item = 1 + n + len(members)
+    sink = first_item + len(items)
+    labels = (["s"] + ["g/%s" % a for a in instance.agents]
+              + ["m/%s/%s" % (a, mb) for a, mb, _ in members]
+              + ["o/%s" % item for item in items] + ["t"])
+    head, cap = [], []
+    adj = [[] for _ in labels]
+
+    def add_arc(u, v):
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((1, 0))
+
+    groups = {a: g for g, a in enumerate(instance.agents, 1)}
+    for u, (a, _, _) in enumerate(members, n + 1):
+        add_arc(groups[a], u)
+    for u, (_, _, row) in enumerate(members, n + 1):
+        for k in row:
+            add_arc(u, first_item + k)
+    item_arcs_end = len(head)
+    for v in range(first_item, sink):
+        add_arc(v, sink)
+
+    load = [0] * (n + 1)
+    while True:
+        seen = [False] * len(labels)
+        for g in sorted(groups.values(), key=lambda g: (load[g], g)):
+            if not seen[g]:
+                seen[g] = True
+                arcs = _reference_path_to_sink(g, sink, adj, head, cap, seen)
+                if arcs is not None:
+                    break
+        else:
+            break
+        load[g] += 1
+        for a in arcs:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+
+    bundles = {a: set() for a in instance.agents}
+    for a in range(2 * len(members), item_arcs_end, 2):
+        if cap[a + 1]:
+            bundles[members[head[a + 1] - n - 1][0]].add(items[head[a] - first_item])
+    loads = {a: load[g] for a, g in groups.items()}
+    lines = ["tail\thead\tcapacity\tcost\tflow"]
+    lines += ["s\t%s\t%d\t0\t%d" % (labels[g], instance.m, load[g]) for g in groups.values()]
+    lines += ["%s\t%s\t%d\t0\t%d" % (labels[head[a + 1]], labels[head[a]],
+                                       cap[a] + cap[a + 1], cap[a + 1])
+              for a in range(0, len(head), 2)]
+    return bundles, loads, "\n".join(lines) + "\n"
+
+
+def _assert_matches_reference(inst):
+    alloc, network = leximin_flow_allocation(inst)
+    bundles, loads, dump = _reference_leximin_flow(inst)
+    assert {a: set(alloc.bundle(a)) for a in inst.agents} == bundles
+    assert network.loads == loads
+    assert network_dump(network) == dump
+
+
+def _ladder():
+    for n, m in [(12, 64), (24, 150), (32, 200), (64, 400)]:
+        rng = random.Random(1)
+        items = tuple("o%d" % (k + 1) for k in range(m))
+        agents = tuple("g%d" % (k + 1) for k in range(n))
+        yield Instance(agents=agents, items=items, valuations={
+            a: random_transversal(rng, a, items, density=0.3) for a in agents})
+
+
+def _reference_cases():
+    yield from _dump_invariant_cases()
+    rng = random.Random(271828)
+    for _ in range(300):
+        yield random_oxs_instance(rng, n_max=6, m_max=14, max_members=rng.randint(1, 5))
+    rng = random.Random(5150)
+    for _ in range(40):
+        yield _with_stray_entries(rng, random_oxs_instance(rng, n_max=4, m_max=10))
+    yield from _ladder()
+
+
+def test_mate_array_solver_matches_the_residual_network_reference():
+    """Same bundles, loads and dump bytes as the generic residual-arc solver."""
+    for inst in _reference_cases():
+        _assert_matches_reference(inst)
+
+
+def test_deep_augmenting_path_needs_no_recursion():
+    """The last augmentation threads every member of a 3,000-member chain."""
+    length = 3000
+    items = tuple("o%d" % (k + 1) for k in range(length + 1))
+    adjacency = {"h%d" % k: {items[k], items[k + 1]} for k in range(length)}
+    adjacency["x"] = {items[0]}
+    inst = Instance(agents=("g1",), items=items,
+                    valuations={"g1": BinaryAssignmentValuation(adjacency)})
+    alloc, network = leximin_flow_allocation(inst)
+    assert inst.value("g1", alloc.bundle("g1")) == length + 1
+    assert network.out_flows() == {"g1": length + 1}
+    _assert_matches_reference(inst)

@@ -158,6 +158,10 @@ _FLOW_CLI_PINS = [
      "3e44eae41cb2f9aabc07ab5643844ffb88c3fc72302f03604c2036d6801a4e90"),
     (24, 150, 2, "242d7dca1a7fb9515d2bddf8bd08e38212cc4e05cc9e60c5edaccf9207dc1290",
      "3a78fcf0ae78bfaa704859c5693ec324e6b24a75e87cf29c033800784d20ee5b"),
+    (32, 200, 1, "36ac4a3c6332d2f53b40b85f68fcd9d575de519d451d49e236000ebb3743269e",
+     "1f05dae8cd508008b6ec929ca295577926f20f6ab89e015e2cebe6b9da059ffd"),
+    (64, 400, 1, "06eb38059a13ef5d016aa2b1d425fc814ba160565335a77bd283edffaba3ac1d",
+     "3221c8f56f845cf50ada14ff9c5ec557ba86360c59fff922ffc751391481b197"),
 ]
 
 
