@@ -32,7 +32,7 @@ def two_group_matching_instance():
 
 def show(title, instance, allocation):
     vector = values_vector(instance, allocation)
-    print("%-24s" % (title + ":"), end=" ")
+    print("%-27s" % (title + ":"), end=" ")
     for agent in instance.agents:
         items = ",".join(instance.sorted_items(allocation.bundle(agent)))
         print("%s={%s}" % (agent, items), end="  ")
@@ -46,7 +46,7 @@ def main():
     print()
 
     start = max_common_independent_set(instance)
-    show("max welfare (greedy)", instance, start)
+    show("max welfare (intersection)", instance, start)
 
     repaired, log = eit_ef1(instance)
     show("after %d transfer(s)" % len(log), instance, repaired)

@@ -57,26 +57,32 @@ def _rows(path: str, delimiter: str, columns: Mapping, required: Sequence,
           what: str):
     """(line number, fields) for each non-blank line of a delimited file.
 
-    The column map must name every ``required`` column, and every row must
-    reach the map's highest column; both failures raise DocumentError.
+    The column map must name every ``required`` column, the delimiter must
+    not be empty, the file must be UTF-8 text and every row must reach the
+    map's highest column; each failure raises DocumentError.
     """
     for name in required:
         if name not in columns:
             raise DocumentError("%s column map needs a %r entry" % (what, name))
+    if not delimiter:
+        raise DocumentError("the delimiter must not be empty")
     needed = max(columns.values()) + 1
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from exc
     with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(delimiter)
-            if len(fields) < needed:
-                raise DocumentError("%s line %d: expected at least %d fields, got %d"
-                                    % (path, lineno, needed, len(fields)))
-            yield lineno, fields
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                fields = line.rstrip("\n").split(delimiter)
+                if len(fields) < needed:
+                    raise DocumentError("%s line %d: expected at least %d fields, got %d"
+                                        % (path, lineno, needed, len(fields)))
+                yield lineno, fields
+        except UnicodeDecodeError as exc:
+            raise DocumentError("cannot read %s: not UTF-8 text" % path) from exc
 
 
 def load_ratings(path: str, delimiter: str = LEGACY_DELIMITER,

@@ -250,6 +250,8 @@ def load_path(path: str):
             text = handle.read()
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc.strerror)) from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError("cannot read %s: not UTF-8 text" % path) from exc
     return loads(text)
 
 

@@ -3,13 +3,14 @@
 All families expose value(bundle) with exact results.  The assignment
 families additionally expose assignment_value(bundle), returning the value
 together with a deterministic witness matching of bundle items to members;
-the witness never pairs an item with a member that weights it zero.
-Both grow it from the empty matching over the sorted bundle, one item at a
-time: weighted assignment valuations by the best alternating path from
-each item (``_augment``), (0,1)-OXS valuations (BinaryAssignmentValuation)
-by a depth-first augmenting-path search (``_match``).  Every matching reads
-the valuation's one integer weight index, ``_edges``, and divides its total
-back by the index's scale.
+the witness never pairs an item with a member that weights it zero.  Each
+assignment class has one engine, ``_grow(holder, items)``: it grows a
+member -> item holder in place by one search per item and returns the
+gain, by the best alternating path for weighted valuations and by a
+depth-first augmenting path for (0,1)-OXS ones (BinaryAssignmentValuation).
+assignment_value grows a holder from empty over the sorted bundle and reads
+the witness off it.  Every matching reads the valuation's one integer weight
+index, ``_edges``, and divides its total back by the index's scale.
 
 The families whose matroid is explicit (binary additive, transversal and
 truncations of either) also expose exchange(bundle, items): for a clean
@@ -24,15 +25,14 @@ EF1 without valuing A minus each item (``core.ef1_pair``).  A truncation
 has the query only when its inner valuation has it.
 
 Assignment valuations also expose value_with(bundle, item), the value of
-bundle + item found by one alternating-path search from item over bundle's
-maximum-weight matching, instead of a matching from scratch; on (0,1)-OXS
-valuations that search is a single augmenting path.  It takes that matching
-from a value-only store of the matchings value_with itself grew, else from
-assignment_value's witness, and writes the grown one only to the store.
-Witnesses never come from the store: value() and assignment_value() read
-only their cache of matchings from scratch, so the matchings that waste
-accounting and the transfer heuristics see stay those.  A truncation has value_with
-only when its inner valuation has it.
+bundle + item found by one ``_grow`` search from item over bundle's
+maximum-weight matching, instead of a matching from scratch.  It grows a
+copy of the holder it stored for bundle in a value-only store, else bundle's
+witness inverted, and stores the grown holder there.  Witnesses never
+come from the store: value() and assignment_value() read only their cache of
+matchings from scratch, so the matchings that waste accounting and the
+transfer heuristics see stay those.  A truncation has value_with only when
+its inner valuation has it.
 
 ``subset_tables`` gives every subset's value as a list in bitmask order.
 The explicit families read theirs off their matroid's structure through
@@ -99,6 +99,20 @@ def _counts(mask, m, base=0):
     return row
 
 
+def _alternating_closure(items, edges, item_of) -> set:
+    """``items`` and every item reached from them by alternating steps: an
+    item, its members (``edges``), those members' matched items
+    (``item_of``), and so on.  Every member reached must be matched."""
+    found, stack = set(items), list(items)
+    while stack:
+        for member in edges.get(stack.pop(), ()):
+            x = item_of[member]
+            if x not in found:
+                found.add(x)
+                stack.append(x)
+    return found
+
+
 @dataclass(frozen=True)
 class BinaryAdditiveValuation:
     """v(S) = number of approved items inside S."""
@@ -152,7 +166,7 @@ class AssignmentValuation:
             wt[member] = MappingProxyType(row)
         self.weights = MappingProxyType(wt)
         self._cache = {}
-        self._grown = {}  # value-only store: bundle -> (scaled total, matching)
+        self._grown = {}  # value-only store: bundle -> (scaled total, holder)
 
     def __eq__(self, other):
         return (
@@ -166,15 +180,15 @@ class AssignmentValuation:
 
     def assignment_value(self, bundle) -> tuple:
         """(value, witness) where witness maps items to distinct members: a
-        maximum-weight matching grown from empty over the sorted bundle, each
-        item by the best alternating path from it (``_augment``)."""
+        maximum-weight matching grown from empty over the sorted bundle by
+        ``_grow``."""
         bundle = frozenset(bundle)
         hit = self._cache.get(bundle)
         if hit is None:
-            total, witness = 0, {}
-            for item in sorted(bundle):
-                total, witness = self._augment(total, witness, item)
-            hit = (_unscaled(total, self._edges[0]), witness)
+            holder = {}
+            total = self._grow(holder, sorted(bundle))
+            hit = (_unscaled(total, self._edges[0]),
+                   {x: member for member, x in holder.items()})
             self._cache[bundle] = hit
         return hit
 
@@ -204,9 +218,9 @@ class AssignmentValuation:
         alternating path that starts at o: o to a member, that member's item
         in M back off it, on to another member, and so on, ending at a free
         member or by dropping an item.  Every other component of M xor M'
-        has zero gain, since M and M' are each optimal.  M is bundle's
-        cached witness or a matching this method grew; the grown matching
-        of bundle + item goes into the value-only store.
+        has zero gain, since M and M' are each optimal.  M is a copy of a
+        holder this method grew, else bundle's cached witness inverted;
+        ``_grow`` extends it by o, and it goes into the value-only store.
         """
         bundle = frozenset(bundle)
         grown = bundle | {item}
@@ -218,55 +232,59 @@ class AssignmentValuation:
             hit = self._grown.get(bundle)
             if hit is None:
                 value, witness = self.assignment_value(bundle)
-                hit = (int(value * scale), witness)
+                total, holder = int(value * scale), {m: x for x, m in witness.items()}
+            else:
+                total, holder = hit[0], dict(hit[1])
             if item not in bundle:
-                hit = self._augment(*hit, item)
-            self._grown[grown] = hit
+                total += self._grow(holder, (item,))
+            self._grown[grown] = total, holder
         return _unscaled(self._grown[grown][0], scale)
 
-    def _augment(self, total, mates, item):
-        """(scaled total, matching) after the best alternating path from the
-        unmatched ``item``: one longest-path search, since M admits no
-        gainful alternating cycle.  The inputs when no path gains.  Gains
+    def _grow(self, holder, items) -> int:
+        """Grow ``holder`` (member -> item) in place by the best alternating
+        path from each of the unmatched ``items`` in turn; the scaled gain.
+
+        Each path is one longest-path search, since a maximum-weight matching
+        admits no gainful alternating cycle; it ends at the free member, or
+        at the matched member dropping its item, of strictly greatest gain,
+        free members first, and nothing changes when no path gains.  Every
+        queued item carries its member, so no inverse map is needed.  Gains
         only rise, so an item queued again at the gain it was last expanded
-        with relaxes nothing and is skipped."""
+        with relaxes nothing and is skipped.
+        """
         _, edges = self._edges
-        holder = {member: x for x, member in mates.items()}
-        gain = {item: 0}  # item -> best gain of a path that frees it
-        expanded = {}  # item -> the gain it was last expanded with
-        reach, came = {}, {}  # member -> best gain of a path to it, its item
-        queue = [item]
-        for x in queue:
-            gx, mate = gain[x], mates.get(x)
-            if expanded.get(x) == gx:
-                continue
-            expanded[x] = gx
-            for member, w in edges.get(x, {}).items():
-                g = gx + w
-                if member == mate or (member in reach and reach[member] >= g):
+        total = 0
+        for item in items:
+            gain = {item: 0}  # item -> best gain of a path that frees it
+            expanded = {}  # item -> the gain it was last expanded with
+            reach = {}  # member -> best gain of a path to it
+            came = {}  # member -> (that path's last item, the item's mate)
+            queue = [(item, None)]
+            for x, mate in queue:
+                gx = gain[x]
+                if expanded.get(x) == gx:
                     continue
-                reach[member], came[member] = g, x
-                if member in holder:
-                    y = holder[member]
-                    gain[y] = g - edges[y][member]
-                    queue.append(y)
-        best, end = 0, None  # a free end member, or the member that drops its item
-        for member, g in reach.items():
-            if member not in holder and g > best:
-                best, end = g, member
-        for y, g in gain.items():
-            if y != item and g > best:
-                best, end = g, mates[y]
-        if end is None:
-            return total, mates
-        grown = dict(mates)
-        if end in holder:
-            del grown[holder[end]]
-        x = None
-        while x != item:
-            x = came[end]
-            grown[x], end = end, mates.get(x)
-        return total + best, grown
+                expanded[x] = gx
+                for member, w in edges.get(x, {}).items():
+                    g = gx + w
+                    if member == mate or (member in reach and reach[member] >= g):
+                        continue
+                    reach[member], came[member] = g, (x, mate)
+                    if member in holder:
+                        y = holder[member]
+                        gain[y] = g - edges[y][member]
+                        queue.append((y, member))
+            best, end = 0, None  # a free end member, or the member that drops its item
+            for member, g in reach.items():
+                if member not in holder and g > best:
+                    best, end = g, member
+            for member in reach:
+                if member in holder and gain[holder[member]] > best:
+                    best, end = gain[holder[member]], member
+            total += best
+            while end is not None:
+                holder[end], end = came[end]
+        return total
 
 
 class BinaryAssignmentValuation(AssignmentValuation):
@@ -274,10 +292,9 @@ class BinaryAssignmentValuation(AssignmentValuation):
 
     v(S) is then the size of a maximum matching of S's items to members,
     i.e. the rank of S in the transversal matroid of the adjacency graph.
-    The matching is this class's own augmenting-path search (``_match``):
-    assignment_value grows it from empty over the sorted bundle, and
-    value_with grows a bundle's matching by one item.  ``weights`` is a
-    read-only unit view of the adjacency, built without normalization.
+    Its engine, ``_grow``, is a depth-first augmenting-path search; it
+    inherits assignment_value and value_with.  ``weights`` is a read-only
+    unit view of the adjacency, built without normalization.
     """
 
     def __init__(self, adjacency: Mapping):
@@ -299,12 +316,13 @@ class BinaryAssignmentValuation(AssignmentValuation):
                 edges.setdefault(item, {})[member] = 1
         return 1, edges
 
-    def _match(self, holder, items):
-        """Grow ``holder`` (member -> item) by a depth-first augmenting-path
-        search from each of ``items`` in turn, members in order, on a stack of
-        [item, member tried, members left].  A search that fails leaves holder
-        as it was."""
+    def _grow(self, holder, items) -> int:
+        """Grow ``holder`` (member -> item) in place by a depth-first
+        augmenting-path search from each of ``items`` in turn, members in
+        order, on a stack of [item, member tried, members left]; the number
+        of items matched.  A search that fails leaves holder as it was."""
         _, edges = self._edges
+        matched = len(holder)
         for item in items:
             seen = set()
             stack = [[item, None, iter(edges.get(item, ()))]]
@@ -322,26 +340,7 @@ class BinaryAssignmentValuation(AssignmentValuation):
                     holder.update((mb, x) for x, mb, _ in stack)
                     break
                 stack.append([holder[member], None, iter(edges[holder[member]])])
-
-    def assignment_value(self, bundle) -> tuple:
-        bundle = frozenset(bundle)
-        hit = self._cache.get(bundle)
-        if hit is None:
-            holder = {}
-            self._match(holder, sorted(bundle))
-            witness = {x: member for member, x in holder.items()}
-            hit = (len(witness), witness)
-            self._cache[bundle] = hit
-        return hit
-
-    def _augment(self, total, mates, item):
-        """(size, matching) after one augmenting-path search from the
-        unmatched ``item``; the inputs when no path reaches a free member."""
-        holder = {member: x for x, member in mates.items()}
-        self._match(holder, (item,))
-        if len(holder) == len(mates):
-            return total, mates
-        return total + 1, {x: member for member, x in holder.items()}
+        return len(holder) - matched
 
     def exchange(self, bundle, items):
         """Sinks and circuits from alternating paths of A's witness matching.
@@ -369,13 +368,7 @@ class BinaryAssignmentValuation(AssignmentValuation):
 
         def reachable(member):
             if member not in reach:
-                found, stack = {item_of[member]}, [item_of[member]]
-                while stack:
-                    for other in edges[stack.pop()]:
-                        if item_of[other] not in found:
-                            found.add(item_of[other])
-                            stack.append(item_of[other])
-                reach[member] = found
+                reach[member] = _alternating_closure((item_of[member],), edges, item_of)
             return reach[member]
 
         sinks, circuits = set(), {}
@@ -398,17 +391,9 @@ class BinaryAssignmentValuation(AssignmentValuation):
         so v(A - x) = v(A); every matched item it never reaches is a coloop.
         """
         witness = self.assignment_value(bundle)[1]
-        _, edges = self._edges
         item_of = {member: item for item, member in witness.items()}
-        stack = [x for x in bundle if x not in witness]
-        free = set(stack)
-        while stack:
-            for member in edges.get(stack.pop(), ()):
-                x = item_of[member]
-                if x not in free:
-                    free.add(x)
-                    stack.append(x)
-        return set(witness) - free
+        unmatched = [x for x in bundle if x not in witness]
+        return set(witness) - _alternating_closure(unmatched, self._edges[1], item_of)
 
     def subset_table(self, items):
         """Every subset's value by Ore's deficiency form of Hall's theorem.

@@ -398,7 +398,7 @@ def test_all_optimal_placements_are_streamed_in_little_memory():
     assert peak < 5 * 2 ** 20
 
 
-DEMO_SHA256 = "8bc8ca16690d918c832dac5ade19babaac983bfcf691c05dfe3feac138a50e67"
+DEMO_SHA256 = "e9539bf0c348377320098ffcebf9fd7ab3c3c9834a9dc767a9cb1eda74c1f91d"
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "5"])

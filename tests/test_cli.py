@@ -377,6 +377,32 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert err.startswith("error: invalid JSON") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "bench-ratings", "bench-users",
+                                     "bench-delimiter"])
+def test_unreadable_text_is_a_document_error(tmp_path, capsys, ratings_path, users_path,
+                                              command):
+    """Bytes that are not UTF-8, and an empty bench delimiter, exit 1 with one
+    ``error:`` line instead of a traceback."""
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(b"\xff")
+    instance = _write_instance(tmp_path, fixtures.usw_not_ef1_instance())
+    bench = ["bench", "--attribute", "gender", "--items", "6", "--runs", "1", "--seed", "7"]
+    argv, message = {
+        "solve": (["solve", "--input", str(bad), "--algorithm", "usw-ef1"],
+                  "cannot read %s: not UTF-8 text" % bad),
+        "check": (["check", "--input", instance, "--allocation", str(bad),
+                   "--properties", "ef1"], "cannot read %s: not UTF-8 text" % bad),
+        "bench-ratings": (bench + ["--ratings", str(bad), "--users", users_path],
+                          "cannot read %s: not UTF-8 text" % bad),
+        "bench-users": (bench + ["--ratings", ratings_path, "--users", str(bad)],
+                        "cannot read %s: not UTF-8 text" % bad),
+        "bench-delimiter": (bench + ["--ratings", ratings_path, "--users", users_path,
+                                     "--delimiter", ""], "the delimiter must not be empty"),
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 def _truncated_chain(depth):
     """An instance document whose one valuation nests ``depth`` truncations."""
     return ('{"schema": 1, "items": ["o1"], "agents": [{"id": "a", "valuation": '

@@ -5,7 +5,8 @@ from math import lcm
 
 from rankfair.core import Instance
 from rankfair.eit import max_utilitarian_welfare
-from rankfair.valuations import AssignmentValuation, BinaryAssignmentValuation, _norm
+from rankfair.valuations import (AssignmentValuation, BinaryAssignmentValuation, _norm,
+                                 _unscaled)
 
 
 def brute_force_matching_value(items, members, weight):
@@ -363,3 +364,195 @@ def test_total_type_follows_the_matched_weights():
     assert (got, type(got)) == (1, int)
     for got in welfare([{"m": {"a": 1}}], ()), value({"m": {"a": 1}}, ()):
         assert (got, type(got)) == (0, int)
+
+
+def _reference_augment(edges, total, mates, item):
+    """The former ``AssignmentValuation._augment``, on item -> member mates:
+    (scaled total, matching) after the best alternating path from the
+    unmatched ``item``; the inputs when no path gains."""
+    holder = {member: x for x, member in mates.items()}
+    gain = {item: 0}
+    expanded = {}
+    reach, came = {}, {}
+    queue = [item]
+    for x in queue:
+        gx, mate = gain[x], mates.get(x)
+        if expanded.get(x) == gx:
+            continue
+        expanded[x] = gx
+        for member, w in edges.get(x, {}).items():
+            g = gx + w
+            if member == mate or (member in reach and reach[member] >= g):
+                continue
+            reach[member], came[member] = g, x
+            if member in holder:
+                y = holder[member]
+                gain[y] = g - edges[y][member]
+                queue.append(y)
+    best, end = 0, None
+    for member, g in reach.items():
+        if member not in holder and g > best:
+            best, end = g, member
+    for y, g in gain.items():
+        if y != item and g > best:
+            best, end = g, mates[y]
+    if end is None:
+        return total, mates
+    grown = dict(mates)
+    if end in holder:
+        del grown[holder[end]]
+    x = None
+    while x != item:
+        x = came[end]
+        grown[x], end = end, mates.get(x)
+    return total + best, grown
+
+
+def _reference_match(edges, holder, items):
+    """The former ``BinaryAssignmentValuation._match``: grows ``holder``
+    (member -> item) by a depth-first augmenting-path search per item."""
+    for item in items:
+        seen = set()
+        stack = [[item, None, iter(edges.get(item, ()))]]
+        while stack:
+            top = stack[-1]
+            for member in top[2]:
+                if member not in seen:
+                    break
+            else:
+                stack.pop()
+                continue
+            seen.add(member)
+            top[1] = member
+            if member not in holder:
+                holder.update((mb, x) for x, mb, _ in stack)
+                break
+            stack.append([holder[member], None, iter(edges[holder[member]])])
+
+
+class _ReferenceEngine:
+    """The former assignment_value and value_with of one valuation, with
+    their own cache and value-only store of (scaled total, item -> member)."""
+
+    def __init__(self, valuation):
+        self.binary = isinstance(valuation, BinaryAssignmentValuation)
+        self.scale, self.edges = valuation._edges
+        self.cache, self.grown = {}, {}
+
+    def _augment(self, total, mates, item):
+        if not self.binary:
+            return _reference_augment(self.edges, total, mates, item)
+        holder = {member: x for x, member in mates.items()}
+        _reference_match(self.edges, holder, (item,))
+        if len(holder) == len(mates):
+            return total, mates
+        return total + 1, {x: member for member, x in holder.items()}
+
+    def assignment_value(self, bundle):
+        bundle = frozenset(bundle)
+        if bundle not in self.cache:
+            if self.binary:
+                holder = {}
+                _reference_match(self.edges, holder, sorted(bundle))
+                witness = {x: member for member, x in holder.items()}
+                self.cache[bundle] = (len(witness), witness)
+            else:
+                total, witness = 0, {}
+                for item in sorted(bundle):
+                    total, witness = self._augment(total, witness, item)
+                self.cache[bundle] = (_unscaled(total, self.scale), witness)
+        return self.cache[bundle]
+
+    def value_with(self, bundle, item):
+        bundle = frozenset(bundle)
+        grown = bundle | {item}
+        if grown in self.cache:
+            return self.cache[grown][0]
+        if grown not in self.grown:
+            hit = self.grown.get(bundle)
+            if hit is None:
+                value, witness = self.assignment_value(bundle)
+                hit = (int(value * self.scale), witness)
+            if item not in bundle:
+                hit = self._augment(*hit, item)
+            self.grown[grown] = hit
+        return _unscaled(self.grown[grown][0], self.scale)
+
+
+_DIFFERENTIAL_WEIGHTS = (1, 2, 3, Fraction(1, 2), Fraction(5, 3))
+
+
+def _differential_valuation(rng, binary, items, members, seen):
+    density = rng.uniform(0.2, 0.7)
+    pairs = [(mb, it) for mb in members for it in items if rng.random() < density]
+    if binary:
+        adjacency = {mb: [] for mb in members}
+        for mb, it in pairs:
+            adjacency[mb].append(it)
+        return BinaryAssignmentValuation(adjacency)
+    tie = rng.random() < 0.25  # every weight equal
+    if tie:
+        seen["equal weights"] += 1
+    weight = rng.choice(_DIFFERENTIAL_WEIGHTS)
+    weights = {mb: {} for mb in members}
+    for mb, it in pairs:
+        weights[mb][it] = weight if tie else rng.choice(_DIFFERENTIAL_WEIGHTS)
+    return AssignmentValuation(members, weights)
+
+
+def _grown_mates(valuation):
+    """The value-only store with each holder read as item -> member."""
+    return {bundle: (total, {x: member for member, x in holder.items()})
+            for bundle, (total, holder) in valuation._grown.items()}
+
+
+def _snapshot(valuation, bundles):
+    return ({bundle: (value, dict(witness)) for bundle in bundles
+             for value, witness in (valuation.assignment_value(bundle),)},
+            {bundle: (total, dict(holder))
+             for bundle, (total, holder) in valuation._grown.items()})
+
+
+def test_grown_holders_match_the_former_engines():
+    """Each class's one engine, ``_grow``, gives the former engines' values,
+    witnesses and value-only store on seeded bundles and value_with chains
+    in random item orders; a chain changes no witness and no stored holder
+    it did not write.  (0,1)-OXS witnesses also keep their iteration order;
+    weighted ones are compared as mappings, since a witness read off a
+    holder lists its items in the order their members were first matched."""
+    rng = random.Random(30)
+    seen = Counter()
+    for case in range(1100):
+        binary = case % 2 == 1
+        kind = "binary" if binary else "weighted"
+        items = ["o%d" % k for k in range(rng.randint(0, 10))]
+        members = ["m%d" % k for k in range(rng.randint(1, 5))]
+        v = _differential_valuation(rng, binary, items, members, seen)
+        ref = _ReferenceEngine(v)
+        bundles = [frozenset(items)] + [frozenset(rng.sample(items, rng.randint(0, len(items))))
+                                        for _ in range(3)]
+        for bundle in bundles:
+            got, want = v.assignment_value(bundle), ref.assignment_value(bundle)
+            assert got == want and type(got[0]) is type(want[0]), (kind, bundle)
+            if binary:
+                assert list(got[1].items()) == list(want[1].items())
+            seen[kind + " bundles"] += 1
+            seen[kind + " unmatched item"] += len(got[1]) < len(bundle)
+        for _ in range(2):  # value_with chains from a start bundle
+            before = _snapshot(v, bundles)
+            bundle = frozenset(rng.sample(items, rng.randint(0, len(items))))
+            for item in rng.sample(items, len(items)):
+                probe = rng.choice(items)
+                assert v.value_with(bundle, probe) == ref.value_with(bundle, probe)
+                got, want = v.value_with(bundle, item), ref.value_with(bundle, item)
+                assert got == want and type(got) is type(want), (kind, bundle, item)
+                seen[kind + " value_with steps"] += 1
+                bundle |= {item}
+            after = _snapshot(v, bundles)
+            assert after[0] == before[0]
+            assert {b: after[1][b] for b in before[1]} == before[1]
+            assert _grown_mates(v) == ref.grown
+    for kind in ("binary", "weighted"):
+        assert seen[kind + " bundles"] >= 2000 and seen[kind + " value_with steps"] >= 2000, seen
+        assert seen[kind + " unmatched item"] >= 200, seen
+    assert seen["equal weights"] >= 100, seen

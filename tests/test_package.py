@@ -1,8 +1,10 @@
 """The package boundary: what ships under src/rankfair and what it exports."""
 
 import ast
+import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -77,3 +79,58 @@ def test_intra_package_imports_sit_at_module_level():
             if intra and id(node) not in top:
                 nested.append("%s:%d" % (name, node.lineno))
     assert nested == []
+
+
+def _cited_names():
+    """(file, name) for every code name the docs cite that starts with ``_``
+    or is dotted: README.md's code spans and the package's double-backticked
+    docstring names, file names such as ``core.py`` aside."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        cited = [("README.md", name) for name in
+                 re.findall(r"(?<!`)`([A-Za-z_][\w.]*)`(?!`)", handle.read())]
+    package = os.path.dirname(os.path.abspath(rankfair.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                cited += [(name, cite) for cite in
+                          re.findall(r"``([A-Za-z_][\w.]*)``", ast.get_docstring(node) or "")]
+    return [(where, name) for where, name in cited
+            if (name.startswith("_") or "." in name) and not name.endswith(".py")]
+
+
+def _resolves(name, modules) -> bool:
+    """Whether ``name`` is an attribute of a rankfair module or class, or a
+    dotted path from a rankfair module, one of their classes or an
+    importable module such as ``fractions``."""
+    head, *rest = name.split(".")
+    classes = [value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and value.__module__.startswith("rankfair")]
+    roots = [getattr(scope, head) for scope in modules + classes if hasattr(scope, head)]
+    if rest:
+        for module in ("rankfair." + head, head):
+            try:
+                roots.append(importlib.import_module(module))
+            except ImportError:
+                pass
+    for root in roots:
+        for attr in rest:
+            root = getattr(root, attr, None)
+        if root is not None:
+            return True
+    return False
+
+
+def test_docs_cite_only_names_that_exist():
+    """A private or dotted name in README.md or a docstring must still name
+    something, so a rename or deletion cannot leave it behind in the docs."""
+    modules = [rankfair] + [importlib.import_module("rankfair." + info.name)
+                            for info in pkgutil.iter_modules(rankfair.__path__)
+                            if info.name != "__main__"]
+    cited = _cited_names()
+    assert len(cited) >= 20
+    assert [(where, name) for where, name in cited if not _resolves(name, modules)] == []
