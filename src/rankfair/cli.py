@@ -160,10 +160,9 @@ def cmd_solve(args) -> int:
     metrics = _solve_metrics(instance, allocation, args.algorithm, log,
                              exhausted, side_files, optimum)
     document = serialize_allocation(allocation, instance, metrics)
-    if args.output:
-        dump_path(document, args.output)
+    text = dump_path(document, args.output) if args.output else None
     if args.format == "machine":
-        print(dumps(document), end="")
+        print(text or dumps(document), end="")
     else:
         print("algorithm: %s" % args.algorithm)
         for agent in instance.agents:

@@ -7,8 +7,9 @@ first violation in index order; the solvers, the checkers and the
 enumeration oracle all take their verdicts from them.  For a valuation
 that answers ``coloops(bundle)`` (see ``valuations``), ``ef1_pair`` reads
 the verdict off that bundle's matroid: a matroid rank is at most the
-bundle's size, and removing an item lowers it exactly when the item is a
-coloop, so at most one value and one coloop query decide the pair.
+bundle's size and at most the rank of all the items, and removing an item
+lowers it exactly when the item is a coloop, so at most one value of the
+other bundle and one coloop query decide the pair.
 
 Everything in this package is exact arithmetic (int or fractions.Fraction).
 Floats are deliberately never produced by any computation here: leximin and
@@ -118,6 +119,11 @@ class Instance:
     @cached_property
     def item_index(self) -> dict:
         return {o: k for k, o in enumerate(self.items)}
+
+    @cached_property
+    def item_set(self) -> frozenset:
+        """All the items as one frozenset, so a valuation's cache keeps v(E)."""
+        return frozenset(self.items)
 
     @property
     def n(self) -> int:
@@ -254,15 +260,17 @@ def _ef1_verdict(instance: Instance, valuation, own, theirs: frozenset) -> tuple
 
     When the valuation answers ``coloops`` (a matroid rank function whose
     matroid is explicit), the verdict comes from that structure: v_i(A_j)
-    is at most |A_j|, and v_i(A_j - o) is v_i(A_j) - 1 exactly when o is a
-    coloop of A_j and v_i(A_j) otherwise.  So own >= |A_j| needs no value
-    of A_j, own + 1 < v_i(A_j) is a violation, and at own + 1 = v_i(A_j)
-    the witness is the first coloop (the first item when v_i(A_j) = |A_j|,
-    since then every item is one).  Other valuations value A_j minus each
-    item in turn.
+    is at most |A_j| and, the rank being monotone, at most v_i(E), the rank
+    of all the items.  So own >= |A_j| or own >= v_i(E) needs no value of
+    A_j.  v_i(A_j - o) is v_i(A_j) - 1 exactly when o is a coloop of A_j and
+    v_i(A_j) otherwise, so own + 1 < v_i(A_j) is a violation, and at
+    own + 1 = v_i(A_j) the witness is the first coloop (the first item when
+    v_i(A_j) = |A_j|, since then every item is one).  Other valuations
+    value A_j minus each item in turn.
     """
     coloops = getattr(valuation, "coloops", None)
-    if coloops is not None and own >= len(theirs):
+    if coloops is not None and (own >= len(theirs)
+                                or own >= valuation.value(instance.item_set)):
         return True, None
     whole = valuation.value(theirs)
     if own >= whole:

@@ -259,6 +259,9 @@ def dumps(document: Mapping) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-def dump_path(document: Mapping, path: str) -> None:
+def dump_path(document: Mapping, path: str) -> str:
+    """Write ``dumps(document)`` to ``path``; returns the text written."""
+    text = dumps(document)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(document))
+        handle.write(text)
+    return text

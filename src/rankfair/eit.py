@@ -31,7 +31,6 @@ from .core import (
     assert_valid,
     clean,
     ef1_pair,
-    first_ef1_violation,
     format_exact,
     is_clean,
     marginal_gain,
@@ -57,21 +56,36 @@ class TransferStep:
 @dataclass
 class TransferLog:
     steps: list = field(default_factory=list)
+    _moved: object = field(default=None, init=False, repr=False,
+                           compare=False)  # the allocation the last move returned
 
     def move(self, instance, allocation, item, source, target) -> Allocation:
         """``allocation`` with ``item`` moved from ``source`` to ``target``.
 
         Either end may be WITHHELD, the pool.  The step is logged with the
-        potential before and after.
+        potential before and after.  When ``allocation`` is the one the last
+        move returned, the potential before is that step's potential after;
+        otherwise every bundle is valued.  The potential after differs from
+        it only in the squared values of the two bundles that changed.
         """
-        bundles = {a: set(b) for a, b in allocation.bundles.items()}
-        withheld = set(allocation.withheld)
-        (withheld if source == WITHHELD else bundles[source]).discard(item)
-        (withheld if target == WITHHELD else bundles.setdefault(target, set())).add(item)
+        bundles, withheld = dict(allocation.bundles), allocation.withheld
+        if source == WITHHELD:
+            withheld = withheld - {item}
+        else:
+            bundles[source] = bundles[source] - {item}
+        if target == WITHHELD:
+            withheld = withheld | {item}
+        else:
+            bundles[target] = bundles.get(target, frozenset()) | {item}
         moved = Allocation(bundles, withheld)
-        self.steps.append(TransferStep(
-            len(self.steps) + 1, item, source, target,
-            potential_phi(instance, allocation), potential_phi(instance, moved)))
+        before = (self.steps[-1].phi_after if allocation is self._moved
+                  else potential_phi(instance, allocation))
+        after = before + sum(instance.value(a, moved.bundle(a)) ** 2
+                             - instance.value(a, allocation.bundle(a)) ** 2
+                             for a in {source, target} - {WITHHELD})
+        self.steps.append(TransferStep(len(self.steps) + 1, item, source, target,
+                                       before, after))
+        self._moved = moved
         return moved
 
     def __len__(self):
@@ -121,6 +135,14 @@ def eit_ef1(instance: Instance, initial: Allocation | None = None) -> tuple:
     optimum is used.  Pairs are scanned in instance order and the
     lowest-index transferable item moves first, so runs are reproducible.
 
+    A pair found EF1 is not tested again until a transfer can change that.
+    Moving o from j to i raises i's value and shrinks A_j, and touches no
+    other bundle, so the pairs (j, k) and (k, i) are tested afresh.  Pairs
+    (i, k) and (k, j) stay EF1: i's value rose, and for a monotone v_k,
+    k stays EF1 of A_j after A_j loses o, since v_k(A_j - o - x) <=
+    v_k(A_j - x).  A failing pair is never kept: the scan stops at the
+    first one and moves an item along it.
+
     Returns (allocation, TransferLog).
     """
     optimum = max_common_independent_set(instance)
@@ -139,14 +161,26 @@ def eit_ef1(instance: Instance, initial: Allocation | None = None) -> tuple:
             )
         allocation = initial
     log = TransferLog()
+    agents = instance.agents
+    passed = set()  # pairs (i, j), i EF1 of j, that no transfer since can have changed
+
+    def ef1(i, j):
+        if (i, j) not in passed:
+            if not ef1_pair(instance, allocation, i, j)[0]:
+                return False
+            passed.add((i, j))
+        return True
+
     bound = instance.m * instance.m // 2 + 1
     for _ in range(bound):
-        pair = first_ef1_violation(instance, allocation)
+        pair = next(((i, j) for i in agents for j in agents if i != j and not ef1(i, j)),
+                    None)
         if pair is None:
             return allocation, log
         i, j = pair
         o = find_transferable_item(instance, allocation, i, j)
         allocation = log.move(instance, allocation, o, j, i)
+        passed.difference_update([(j, k) for k in agents] + [(k, i) for k in agents])
     raise RuntimeError(
         "transfer loop exceeded the m^2/2 step bound; "
         "valuations are probably not matroid rank functions"

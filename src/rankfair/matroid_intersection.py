@@ -7,19 +7,22 @@ exactly when every agent's incident items form a clean bundle for them
 clean allocation of maximum utilitarian welfare, and is found here by
 repeated shortest augmenting paths in the exchange graph.
 
-The exchange graph of the current set X is never built.  Each augmentation
-runs ``shortest_path`` over it, asking for a vertex's successors only when
-the search expands that vertex, and both circuits are read off the
-structure of X.  Partition side: a pair (a, o) outside X is a source when
-no agent holds o; otherwise its circuit is {(a, o), (h, o)} with h the
-holder, so (h, o) has an arc to every (b, o) with b != h.  Union side: the
-matroid is the direct sum of one clean-bundle matroid per agent, so only
-a's own bundle A takes part.  (a, o) is a sink when v_a(A + o) = |A| + 1;
-otherwise it has an arc to every (a, x) with x in A and v_a(A - x + o) =
-|A|.  That answer depends on (a, A) alone and is kept for the whole run.
-When a's valuation family knows its matroid (``exchange`` in
-``valuations``), the answer comes from that structure; otherwise it comes
-from value queries.
+Most augmentations need no search: when some source is already a sink,
+the first such source in tuple order is the whole path, and it is read
+off the per-agent sink sets.  Otherwise the exchange graph of the current
+set X is searched but never built: ``shortest_path`` asks for a vertex's
+successors only when it expands that vertex, and both circuits are read
+off the structure of X.  Partition side: a pair (a, o) outside X is a
+source when no agent holds o; otherwise its circuit is {(a, o), (h, o)}
+with h the holder, so (h, o) has an arc to every (b, o) with b != h.
+Union side: the matroid is the direct sum of one clean-bundle matroid per
+agent, so only a's own bundle A takes part.  (a, o) is a sink when
+v_a(A + o) = |A| + 1; otherwise it has an arc to every (a, x) with x in A
+and v_a(A - x + o) = |A|.  That answer depends on (a, A) alone and is kept
+until a's bundle changes.  When a's valuation family knows its matroid
+(``exchange`` in ``valuations``), the sinks come from that structure and
+each circuit is computed there the first time the search asks for it;
+otherwise value queries give them all.
 
 Only use this on instances whose valuations are matroid rank functions
 (binary-marginal, monotone, submodular); anything else either leaves an
@@ -74,19 +77,13 @@ def shortest_path(starts, successors, is_end):
     return path[::-1] or None
 
 
-def _bundles(instance: Instance, X) -> dict:
-    bundles = {a: set() for a in instance.agents}
-    for a, o in X:
-        bundles[a].add(o)
-    return bundles
-
-
 def _union_side(instance: Instance, agent: str, bundle: frozenset):
     """Union-side sinks and circuits of ``agent``'s pairs outside ``bundle``.
 
-    Returns (set of sink items, {item: sorted circuit items inside ``bundle``}),
-    from the valuation's ``exchange`` query when it answers, and otherwise
-    from value queries.
+    Returns (set of sink items, circuit), where circuit(o) gives the sorted
+    circuit items inside ``bundle`` of an item o outside it that is no sink.
+    The valuation's ``exchange`` query answers when it can, computing each
+    circuit on first request; otherwise value queries answer, all at once.
     """
     valuation = instance.valuation(agent)
     exchange = getattr(valuation, "exchange", None)
@@ -105,50 +102,67 @@ def _union_side(instance: Instance, agent: str, bundle: frozenset):
         else:
             circuits[o] = [x for x in sorted(bundle)
                            if value((bundle - {x}) | {o}) == size]
-    return sinks, circuits
+    return sinks, circuits.__getitem__
+
+
+def _augmenting_path(instance: Instance, X, held, sides):
+    """The lexicographically least shortest augmenting path for X, or None.
+
+    ``held`` is the set of items X holds and ``sides[a]`` agent a's union
+    side for its bundle in X.  The first source that is a sink closes the
+    path by itself: that is the least unheld sink item of the first agent,
+    in sorted order, that has one, read off ``sides`` without a search.
+    Only when no agent has one does ``shortest_path`` run over the exchange
+    graph, from the sources in tuple order.
+    """
+    agents = sorted(instance.agents)
+    for a in agents:
+        free = sides[a][0] - held
+        if free:
+            return [(a, min(free))]
+
+    def successors(v):
+        a, o = v
+        if v in X:
+            return [(b, o) for b in agents if b != a]
+        sinks, circuit = sides[a]
+        return () if o in sinks else [(a, x) for x in circuit(o)]
+
+    sources = ((a, o) for a in agents for o in sorted(instance.items) if o not in held)
+    return shortest_path(sources, successors, lambda v: v[1] in sides[v[0]][0])
 
 
 def max_common_independent_set(instance: Instance) -> Allocation:
     """Clean allocation of maximum utilitarian welfare.
 
-    Runs at most m augmentations; every augmentation grows the common
-    independent set by exactly one element.  Vertices are searched in
-    tuple order, so ids compare as strings (``g10`` before ``g2``).  After
-    each augmentation the new set is re-checked against both matroids,
-    the union side only for the agents on the path, since no other bundle
-    changed; a failure means some valuation is not actually a matroid rank
-    function and is reported as NonMatroidOracle naming the first such
-    agent in instance order.
+    Runs at most m augmentations; each one flips the path that
+    ``_augmenting_path`` returns, which grows the common independent set X
+    by exactly one element.  Vertices are searched in tuple order, so ids
+    compare as strings (``g10`` before ``g2``).  X, the bundles and the
+    union sides carry over from one augmentation to the next; only the
+    agents on the path get a new bundle and a new union side.  After each
+    augmentation the new set is re-checked against both matroids: the
+    partition side over the whole of X, by reading its held items off it
+    afresh, and the union side only for the agents on the path, since no
+    other bundle changed.  A failure means some valuation is not actually a
+    matroid rank function and is reported as NonMatroidOracle naming the
+    first such agent in instance order.
     """
-    agents, items = sorted(instance.agents), sorted(instance.items)
-    union_sides = {}
-    X = frozenset()
-    bundles = _bundles(instance, X)
+    X, held = set(), set()
+    bundles = dict.fromkeys(instance.agents, frozenset())
+    sides = {a: _union_side(instance, a, bundles[a]) for a in instance.agents}
     while True:
-        sides = {}
-        for a in instance.agents:
-            key = (a, frozenset(bundles[a]))
-            if key not in union_sides:
-                union_sides[key] = _union_side(instance, *key)
-            sides[a] = union_sides[key]
-
-        def successors(v):
-            a, o = v
-            if v in X:
-                return [(b, o) for b in agents if b != a]
-            return [(a, x) for x in sides[a][1].get(o, ())]
-
-        held = {o for _, o in X}
-        sources = ((a, o) for a in agents for o in items if o not in held)
-        path = shortest_path(sources, successors, lambda v: v[1] in sides[v[0]][0])
+        path = _augmenting_path(instance, X, held, sides)
         if path is None:
             return Allocation.from_bundles(instance, bundles)
-        X = X ^ frozenset(path)
-        if len({o for _, o in X}) != len(X):
+        for a, o in path:
+            bundles[a] = bundles[a] - {o} if (a, o) in X else bundles[a] | {o}
+        X.symmetric_difference_update(path)
+        held = {o for _, o in X}
+        if len(held) != len(X):
             raise NonMatroidOracle(
                 path[-1][0], "augmentation produced a duplicated item"
             )
-        bundles = _bundles(instance, X)
         moved = {a for a, _ in path}  # every other bundle is unchanged, and clean
         unclean = next((a for a in instance.agents if a in moved
                         and instance.value(a, bundles[a]) != len(bundles[a])), None)
@@ -156,3 +170,4 @@ def max_common_independent_set(instance: Instance) -> Allocation:
             raise NonMatroidOracle(
                 unclean, "augmentation produced an unclean bundle"
             )
+        sides.update((a, _union_side(instance, a, bundles[a])) for a in moved)

@@ -14,10 +14,11 @@ index, ``_edges``, and divides its total back by the index's scale.
 
 The families whose matroid is explicit (binary additive, transversal and
 truncations of either) also expose exchange(bundle, items): for a clean
-bundle A, the items o outside A with v(A + o) = |A| + 1 (sinks), and for
-every other o the sorted items x of A with v(A - x + o) = |A| (o's circuit
-in A + o, without o).  It reads both off the matroid's structure instead
-of asking value, and returns None when A is not clean.  They also answer
+bundle A, the set of items o outside A with v(A + o) = |A| + 1 (sinks),
+and a function giving, for every other o, the sorted items x of A with
+v(A - x + o) = |A| (o's circuit in A + o, without o), computed on first
+request.  It reads both off the matroid's structure instead of asking
+value, and returns None when A is not clean.  They also answer
 coloops(bundle), for any bundle A: the items x of A with v(A - x) =
 v(A) - 1, which every basis of A contains.  Since a matroid rank never
 exceeds the bundle's size and loses 1 exactly at a coloop, this decides
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import starmap
 from math import lcm
 from types import MappingProxyType
@@ -99,6 +100,11 @@ def _counts(mask, m, base=0):
     return row
 
 
+def _loop(item) -> list:
+    """The circuit of a loop, without the loop: empty."""
+    return []
+
+
 def _alternating_closure(items, edges, item_of) -> set:
     """``items`` and every item reached from them by alternating steps: an
     item, its members (``edges``), those members' matched items
@@ -129,8 +135,7 @@ class BinaryAdditiveValuation:
         """Free matroid on the approved items: every circuit is a loop."""
         if not self.approved >= bundle:
             return None
-        return ({o for o in items if o in self.approved and o not in bundle},
-                {o: [] for o in items if o not in self.approved})
+        return {o for o in items if o in self.approved and o not in bundle}, _loop
 
     def coloops(self, bundle):
         """Removing an approved item costs 1, any other item nothing."""
@@ -320,10 +325,14 @@ class BinaryAssignmentValuation(AssignmentValuation):
         """Grow ``holder`` (member -> item) in place by a depth-first
         augmenting-path search from each of ``items`` in turn, members in
         order, on a stack of [item, member tried, members left]; the number
-        of items matched.  A search that fails leaves holder as it was."""
+        of items matched.  A search that fails leaves holder as it was.  It
+        stops once every member is matched: every augmenting path ends at a
+        free member, so no later item could be matched."""
         _, edges = self._edges
         matched = len(holder)
         for item in items:
+            if len(holder) == len(self.members):
+                break
             seen = set()
             stack = [[item, None, iter(edges.get(item, ()))]]
             while stack:
@@ -351,6 +360,8 @@ class BinaryAssignmentValuation(AssignmentValuation):
         matched, and o's circuit is the set of items reachable from those
         members along alternating paths (member, its item, that item's
         members, ...): exactly the x for which A - x + o has a matching.
+        The sinks come at once; each circuit, and each member's reachable
+        items, is computed the first time it is asked for.
         """
         witness = self.assignment_value(bundle)[1] if bundle else {}
         if len(witness) != len(bundle):
@@ -364,23 +375,17 @@ class BinaryAssignmentValuation(AssignmentValuation):
                 if witness[x] not in good:
                     good.add(witness[x])
                     queue.append(witness[x])
-        reach = {}
 
+        @cache
         def reachable(member):
-            if member not in reach:
-                reach[member] = _alternating_closure((item_of[member],), edges, item_of)
-            return reach[member]
+            return _alternating_closure((item_of[member],), edges, item_of)
 
-        sinks, circuits = set(), {}
-        for o in items:
-            if o in bundle:
-                continue
-            members = edges.get(o, ())
-            if not good.isdisjoint(members):
-                sinks.add(o)
-            else:
-                circuits[o] = sorted(set().union(*map(reachable, members)))
-        return sinks, circuits
+        @cache
+        def circuit(o):
+            return sorted(set().union(*map(reachable, edges.get(o, ()))))
+
+        sinks = set().union(*(self.adjacency[member] for member in good)) - bundle
+        return sinks.intersection(items), circuit
 
     def coloops(self, bundle):
         """The items of A that every maximum matching of A covers.
@@ -444,8 +449,9 @@ class TruncatedValuation:
         answer = exchange(bundle, items)
         if answer is None or len(bundle) < self.cap:
             return answer
-        sinks, circuits = answer
-        return set(), {**circuits, **dict.fromkeys(sinks, sorted(bundle))}
+        sinks, circuit = answer
+        whole = sorted(bundle)
+        return set(), lambda o: whole if o in sinks else circuit(o)
 
     @property
     def coloops(self):
@@ -581,6 +587,23 @@ class RankReport:
     subsets_checked: int = 0
 
 
+def _gain_ones(table, bits):
+    """ones[mask]: the bits outside mask whose item has gain 1 there, read off
+    the pairs (mask, mask | bit) over the masks without each bit in turn;
+    None as soon as some gain is neither 0 nor 1."""
+    size = len(table)
+    ones = [0] * size
+    for bit in bits:
+        for start in range(0, size, bit << 1):  # start .. start + bit - 1 lack bit
+            for mask in range(start, start + bit):
+                gain = table[mask | bit] - table[mask]
+                if gain == 1:
+                    ones[mask] |= bit
+                elif gain != 0:
+                    return None
+    return ones
+
+
 def verify_matroid_rank(valuation, items) -> RankReport:
     """Exhaustively certify that ``valuation`` is a matroid rank function.
 
@@ -609,30 +632,24 @@ def verify_matroid_rank(valuation, items) -> RankReport:
     if table[0] != 0:
         return RankReport(False, "empty value", {"value": table[0]}, checked)
 
-    # ones[mask]: the items outside mask with gain 1; every other gain is 0
-    full = (1 << m) - 1
-    ones = [0] * (1 << m)
-    for mask in range(1 << m):
-        free = full ^ mask
-        while free:
-            bit = free & -free
-            free ^= bit
-            gain = table[mask | bit] - table[mask]
-            if gain == 1:
-                ones[mask] |= bit
-            elif gain != 0:
-                return RankReport(
-                    False,
-                    "monotonicity" if gain < 0 else "binary marginals",
-                    {"subset": _subset(items, mask), "item": items[bit.bit_length() - 1],
-                     "gain": gain},
-                    checked,
-                )
+    bits = [1 << k for k in range(m)]
+    ones = _gain_ones(table, bits)
+    if ones is None:  # some gain is neither 0 nor 1: report the first in scan order
+        gain, mask, bit = next((table[mask | bit] - table[mask], mask, bit)
+                               for mask in range(checked) for bit in bits
+                               if not mask & bit and table[mask | bit] - table[mask] not in (0, 1))
+        return RankReport(
+            False,
+            "monotonicity" if gain < 0 else "binary marginals",
+            {"subset": _subset(items, mask), "item": items[bit.bit_length() - 1],
+             "gain": gain},
+            checked,
+        )
 
     # local submodularity: an item of gain 0 at mask keeps gain 0 at mask + k2.
     # No k2 needs skipping: ones[mask | k2] lacks k2, and is ones[mask] for k2 in mask.
-    bits = [1 << k for k in range(m)]
-    for mask in range(1 << m):
+    full = checked - 1
+    for mask in range(checked):
         zeros = full & ~mask & ~ones[mask]
         if not zeros:
             continue

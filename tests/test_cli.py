@@ -11,7 +11,7 @@ import pytest
 
 import rankfair
 
-from rankfair import cli
+from rankfair import cli, documents
 from rankfair.cli import main
 from rankfair.core import Allocation, Instance
 from rankfair.documents import MAX_NESTING, dump_path, load_path, serialize_allocation, \
@@ -184,6 +184,24 @@ def test_solve_leximin_flow_is_pinned_at_scale(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out.encode()).hexdigest() == document_sha
     dump = (tmp_path / "flow.json.network.tsv").read_bytes()
     assert hashlib.sha256(dump).hexdigest() == dump_sha
+
+
+def test_solve_serializes_its_document_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    dumps = documents.dumps
+
+    def counted(document):
+        calls.append(document)
+        return dumps(document)
+
+    doc = _write_instance(tmp_path, fixtures.two_group_matching_instance())
+    monkeypatch.setattr(documents, "dumps", counted)
+    monkeypatch.setattr(cli, "dumps", counted)
+    out = tmp_path / "solved.json"
+    assert main(["solve", "--algorithm", "usw-ef1", "--input", doc,
+                 "--output", str(out), "--format", "machine"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == out.read_text() == dumps(calls[0])
 
 
 def test_solve_leximin_flow_refuses_weighted(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rankfair import matroid_intersection
+from rankfair import matroid_intersection, valuations
 from rankfair.core import Instance, NonMatroidOracle
 from rankfair.matroid_intersection import max_common_independent_set
 from rankfair.valuations import (AllOrNothingValuation, AssignmentValuation,
@@ -29,6 +29,14 @@ def reference_exchange(valuation, bundle, items):
             circuits[o] = [x for x in sorted(bundle)
                            if value((bundle - {x}) | {o}) == size]
     return sinks, circuits
+
+
+def materialized(valuation, bundle, items):
+    """``exchange``'s answer with every circuit asked for, in the shape of
+    ``reference_exchange``: the sinks, and each other item outside the
+    bundle with its circuit."""
+    sinks, circuit = valuation.exchange(bundle, items)
+    return sinks, {o: circuit(o) for o in items if o not in bundle and o not in sinks}
 
 
 def _random_transversal(rng, items):
@@ -83,7 +91,7 @@ def test_exchange_matches_value_oracle_definition():
         for bundle in {frozenset(), *(_random_clean_bundle(rng, valuation, items)
                                       for _ in range(3))}:
             expected = reference_exchange(valuation, bundle, items)
-            assert valuation.exchange(bundle, items) == expected, (valuation, bundle)
+            assert materialized(valuation, bundle, items) == expected, (valuation, bundle)
             cases += 1
             if isinstance(valuation, TruncatedValuation):
                 at_cap += len(bundle) == valuation.cap
@@ -106,8 +114,31 @@ def test_exchange_on_named_shapes():
         (nested, frozenset({"o2"})),
     ]
     for valuation, bundle in shapes:
-        assert valuation.exchange(bundle, items) == reference_exchange(
+        assert materialized(valuation, bundle, items) == reference_exchange(
             valuation, bundle, items)
+
+
+def test_exchange_computes_each_circuit_on_first_request(monkeypatch):
+    closures = []
+    closure = valuations._alternating_closure
+
+    def counted(items, edges, item_of):
+        closures.append(tuple(items))
+        return closure(items, edges, item_of)
+
+    monkeypatch.setattr(valuations, "_alternating_closure", counted)
+    items = ["o1", "o2", "o3", "o4", "o5"]
+    oxs = BinaryAssignmentValuation({"m0": {"o1", "o3"}, "m1": {"o2", "o3"},
+                                     "m2": {"o1", "o2", "o4"}})
+    bundle = frozenset({"o1", "o2", "o4"})
+    sinks, circuit = oxs.exchange(bundle, items)
+    assert sinks == set() and closures == []
+    assert circuit("o3") == ["o1", "o2", "o4"]
+    assert len(closures) == 2  # one per member adjacent to o3
+    assert circuit("o3") == ["o1", "o2", "o4"] and circuit("o5") == []
+    assert len(closures) == 2
+    capped_sinks, capped = TruncatedValuation(oxs, 3).exchange(bundle, items)
+    assert capped_sinks == set() and capped("o5") == [] and len(closures) == 2
 
 
 def test_exchange_declines_unclean_bundles_and_other_families():

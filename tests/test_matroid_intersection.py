@@ -226,41 +226,58 @@ def _differential_cases():
         yield random_binary_additive_instance(rng)
     for _ in range(3):
         yield _table_instance(rng)
+    for _ in range(4):  # draws on which some augmentation needs a search
+        yield random_matroid_instance(rng, n=4, m=10)
+    yield fx.baseline_trap_instance()
+    yield fx.leximin_not_usw_instance()
     yield fx.nonsubmodular_pair_instance()
     yield _unclean_table_instance()
 
 
 def test_exchange_graph_matches_reference_circuits(monkeypatch):
-    # The search never builds the graph, so each call is asked for its
-    # starts, its ends and the successors of every vertex while it runs:
-    # the successor closure reads the X of that augmentation only.  X is
-    # replayed from the returned paths.
+    # X comes from the augmentation step, which receives it.  A step that
+    # searches is asked for its starts, its ends and the successors of every
+    # vertex while it runs: the successor closure reads that step's X only.
+    # A step that takes a sink start without a search must take the first
+    # source that is a sink, and a step that searches must have none.
+    step = matroid_intersection._augmenting_path
     search = matroid_intersection.shortest_path
-    reached = []
-    run = {}
+    searched, direct, found = [], [], []
+    current = {}
 
-    def recording(starts, successors, is_end):
-        inst, X = run["instance"], run["X"]
+    def recording_search(starts, successors, is_end):
+        inst, X = current["step"]
         starts = list(starts)
         vertices = [(a, o) for a in inst.agents for o in inst.items]
-        reached.append((inst, X, tuple(starts),
-                        tuple(sorted(v for v in vertices if is_end(v))),
-                        {v: list(successors(v)) for v in vertices}))
+        searched.append((inst, X, tuple(starts),
+                         tuple(sorted(v for v in vertices if is_end(v))),
+                         {v: list(successors(v)) for v in vertices}))
         path = search(starts, successors, is_end)
-        if path is not None:
-            run["X"] = X ^ frozenset(path)
+        found.append(path is not None)
         return path
 
-    monkeypatch.setattr(matroid_intersection, "shortest_path", recording)
+    def recording_step(instance, X, held, sides):
+        current["step"] = instance, frozenset(X)
+        before = len(searched)
+        path = step(instance, X, held, sides)
+        if len(searched) == before:
+            direct.append((instance, frozenset(X), path))
+        return path
+
+    monkeypatch.setattr(matroid_intersection, "shortest_path", recording_search)
+    monkeypatch.setattr(matroid_intersection, "_augmenting_path", recording_step)
     for inst in _differential_cases():
-        run.update(instance=inst, X=frozenset())
         try:
             max_common_independent_set(inst)
         except NonMatroidOracle:
             pass
-    assert len(reached) > 40
-    for inst, X, sources, sinks, arcs in reached:
+    assert len(searched) > 20 and len(direct) > 40 and sum(found) >= 4
+    for inst, X, sources, sinks, arcs in searched:
         assert (sources, sinks, arcs) == _reference_graph(inst, X)
+        assert set(sources).isdisjoint(sinks)
+    for inst, X, path in direct:
+        sources, sinks, _ = _reference_graph(inst, X)
+        assert path == [next(v for v in sources if v in sinks)]
 
 
 def test_scale_oxs_welfare_equals_global_matching():

@@ -6,13 +6,18 @@ every (subset, item, context item) triple for local submodularity, each
 gain recomputed from the table.  The two must report the same verdict,
 axiom, witness (down to the repr of its values) and scan size on seeded
 tables that break each axiom many times over, with int and Fraction values.
+The reports on the negative controls (all-or-nothing and scaled
+valuations) are pinned as well.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations
 
-from rankfair.valuations import RankReport, verify_matroid_rank
+from rankfair.valuations import (AllOrNothingValuation, BinaryAdditiveValuation,
+                                 BinaryAssignmentValuation, RankReport, ScaledValuation,
+                                 TruncatedValuation, verify_matroid_rank)
 
 
 class _Table:
@@ -116,3 +121,41 @@ def test_bitset_scan_matches_the_triple_loop():
         axioms[got.axiom or "ok"] += 1
     for axiom in ("ok", "empty value", "monotonicity", "binary marginals", "submodularity"):
         assert axioms[axiom] >= 20, axioms
+
+
+_ITEMS = ["o1", "o2", "o3", "o4", "o5"]
+_PINNED = [  # (valuation, (ok, axiom, witness with subsets sorted)), over _ITEMS
+    (AllOrNothingValuation({"o1"}), (True, "", {})),
+    (AllOrNothingValuation({"o2", "o4"}),
+     (False, "submodularity", {"subset": [], "item": "o2", "context_item": "o4",
+                               "gain_without": 0, "gain_with": 1})),
+    (AllOrNothingValuation({"o1", "o3", "o5"}),
+     (False, "submodularity", {"subset": ["o1"], "item": "o3", "context_item": "o5",
+                               "gain_without": 0, "gain_with": 1})),
+    (AllOrNothingValuation({"o2", "o9"}), (True, "", {})),
+    (TruncatedValuation(AllOrNothingValuation({"o1", "o2"}), 1),
+     (False, "submodularity", {"subset": [], "item": "o1", "context_item": "o2",
+                               "gain_without": 0, "gain_with": 1})),
+    (ScaledValuation(BinaryAdditiveValuation({"o3", "o4"}), 2),
+     (False, "binary marginals", {"subset": [], "item": "o3", "gain": 2})),
+    (ScaledValuation(BinaryAssignmentValuation({"m1": {"o2", "o5"}, "m2": {"o5"}}),
+                     Fraction(1, 2)),
+     (False, "binary marginals", {"subset": [], "item": "o2", "gain": Fraction(1, 2)})),
+    (ScaledValuation(BinaryAssignmentValuation({"m1": {"o4"}}), Fraction(3, 2)),
+     (False, "binary marginals", {"subset": [], "item": "o4", "gain": Fraction(3, 2)})),
+    (ScaledValuation(BinaryAdditiveValuation(set()), 3), (True, "", {})),
+    # o1's gain on {o2, o3} is -1, which the walk over o1's pairs meets before
+    # o5's gain of 2 on the empty set; the report is still the first in scan order
+    (_Table({s: len(s) + (s == {"o5"}) - 2 * (s == {"o1", "o2", "o3"}) for s in map(
+        frozenset, chain.from_iterable(combinations(_ITEMS, r) for r in range(6)))}),
+     (False, "binary marginals", {"subset": [], "item": "o5", "gain": 2})),
+]
+
+
+def test_reports_on_negative_controls_are_pinned():
+    for valuation, expected in _PINNED:
+        report = verify_matroid_rank(valuation, _ITEMS)
+        assert (report.ok, report.axiom, {
+            key: sorted(value) if isinstance(value, frozenset) else value
+            for key, value in report.witness.items()}) == expected, valuation
+        assert report.subsets_checked == 32
